@@ -293,7 +293,9 @@ def tensor_decompose(lam: Weight, mu: Weight) -> dict[Weight, int]:
                           {"left": len(lam), "right": len(mu)})
     prod = weyl_character(lam) * weyl_character(mu)
     out = _decompose(prod)
-    assert sum(weyl_dim(nu) * m for nu, m in out.items()) == weyl_dim(lam) * weyl_dim(mu)
+    if sum(weyl_dim(nu) * m for nu, m in out.items()) != weyl_dim(lam) * weyl_dim(mu):
+        raise GitkitError("internal", "tensor pieces do not add up to the product dimension",
+                          {"lambda": weight_to_json(lam), "mu": weight_to_json(mu)})
     return out
 
 

@@ -9,13 +9,15 @@ over rationals.
 The Monte Carlo validator draws Gaussian Hermitian matrices and computes
 spectra with a hand-rolled cyclic Jacobi iteration on the real symmetric
 doubling [[X, -Y], [Y, X]], keeping the check independent of library
-eigensolvers.
+eigensolvers.  All matrices of a run are diagonalized in one lockstep batch:
+each pivot's rotation is one set of elementwise numpy operations over the
+whole stack, and every spectrum is bit-identical to the one the same matrix
+gets alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,45 +137,79 @@ def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[flo
     """Spectrum of a Hermitian matrix by cyclic Jacobi, descending.
 
     The complex matrix X + iY is embedded as the real symmetric doubling
-    [[X, -Y], [Y, X]] whose spectrum repeats each eigenvalue twice.
+    [[X, -Y], [Y, X]] whose spectrum repeats each eigenvalue twice.  This is
+    the batch-of-one case of the lockstep routine `_jacobi_batch`, which
+    returns the same bits for a matrix whether it runs alone or in a batch.
     """
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GitkitError("bad_matrix", "square matrix required", {"shape": list(a.shape)})
+    if not np.isfinite(a).all():
+        raise GitkitError("bad_matrix", "matrix entries must be finite", {})
     if not np.allclose(a, a.conj().T, atol=1e-10):
         raise GitkitError("not_hermitian", "matrix is not Hermitian", {})
-    r = a.shape[0]
-    x, y = a.real.copy(), a.imag.copy()
+    return _jacobi_batch(a[None], tol, max_sweeps)[0]
+
+
+def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
+    """Spectra, each descending, of a stack (B, r, r) of Hermitian matrices.
+
+    Cyclic Jacobi runs on the stack of real symmetric doublings in lockstep:
+    for each pivot (p, q), one set of elementwise numpy operations rotates
+    every matrix still in the batch.  Each matrix keeps its own path, so its
+    spectrum has the same bits as when it runs alone: its own scale and
+    off-diagonal norm decide when it leaves the batch, a lane whose pivot is
+    negligible keeps its values by selection (an identity rotation could
+    turn -0.0 into +0.0), and no operation sums across entries in a new order.
+    """
+    x, y = hs.real, hs.imag
     s_mat = np.block([[x, -y], [y, x]])
-    n = 2 * r
-    scale = max(1.0, float(np.linalg.norm(s_mat)))
+    n = s_mat.shape[-1]
+    scale = np.array([max(1.0, float(np.linalg.norm(m))) for m in s_mat])
+    off_diag = ~np.eye(n, dtype=bool)
+    live = np.arange(len(s_mat))
+    out = [None] * len(s_mat)
     for _sweep in range(max_sweeps):
         # summed directly over off-diagonal entries; the difference of the
         # full and diagonal Frobenius masses cancels catastrophically here
-        off_part = s_mat - np.diag(np.diag(s_mat))
-        off = math.sqrt(float(np.sum(off_part ** 2)))
-        if off <= tol * scale:
-            diag = sorted(np.diag(s_mat).tolist(), reverse=True)
-            return diag[0::2]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s_mat[p, q]
-                if abs(apq) <= 1e-30:
-                    continue
-                tau = (s_mat[q, q] - s_mat[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                cp = s_mat[:, p].copy()
-                cq = s_mat[:, q].copy()
-                s_mat[:, p] = cth * cp - sth * cq
-                s_mat[:, q] = sth * cp + cth * cq
-                rp = s_mat[p, :].copy()
-                rq = s_mat[q, :].copy()
-                s_mat[p, :] = cth * rp - sth * rq
-                s_mat[q, :] = sth * rp + cth * rq
-    raise GitkitError("jacobi_no_convergence",
-                      f"Jacobi iteration did not converge in {max_sweeps} sweeps", {"n": n})
+        off_sq = np.where(off_diag, s_mat, 0.0) ** 2
+        off = np.sqrt(np.sum(off_sq.reshape(len(s_mat), n * n), axis=1))
+        done = off <= tol * scale
+        for k in np.flatnonzero(done):
+            out[live[k]] = sorted(np.diag(s_mat[k]).tolist(), reverse=True)[0::2]
+        if done.any():
+            keep = ~done
+            s_mat, scale, live = s_mat[keep], scale[keep], live[keep]
+        if not len(live):
+            return out
+        lanes = len(live)
+        # masked lanes divide by a zero pivot; their results are discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = s_mat[:, p, q, None]
+                    turn = np.abs(apq) > 1e-30
+                    turning = np.count_nonzero(turn)
+                    if not turning:
+                        continue
+                    tau = (s_mat[:, q, q, None] - s_mat[:, p, p, None]) / (2.0 * apq)
+                    t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                    cth = 1.0 / np.sqrt(1.0 + t * t)
+                    sth = t * cth
+                    cp, cq = s_mat[:, :, p], s_mat[:, :, q]
+                    new_p, new_q = cth * cp - sth * cq, sth * cp + cth * cq
+                    if turning < lanes:
+                        new_p, new_q = np.where(turn, new_p, cp), np.where(turn, new_q, cq)
+                    s_mat[:, :, p], s_mat[:, :, q] = new_p, new_q
+                    rp, rq = s_mat[:, p, :], s_mat[:, q, :]
+                    new_p, new_q = cth * rp - sth * rq, sth * rp + cth * rq
+                    if turning < lanes:
+                        new_p, new_q = np.where(turn, new_p, rp), np.where(turn, new_q, rq)
+                    s_mat[:, p, :], s_mat[:, q, :] = new_p, new_q
+    if len(live):
+        raise GitkitError("jacobi_no_convergence",
+                          f"Jacobi iteration did not converge in {max_sweeps} sweeps", {"n": n})
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,7 +224,10 @@ class SampleReport:
 def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
                               tol: float = 1e-8) -> SampleReport:
     """Draw Gaussian Hermitian pairs, diagonalize A, B, A + B with the Jacobi
-    routine, and check every inequality of the system within tolerance."""
+    routine in one lockstep batch, and check every inequality of the system
+    within tolerance."""
+    if trials < 0:
+        raise GitkitError("bad_input", "trials must be non-negative", {"trials": trials})
     system = generate_horn_system(r, "all-positive")
     rng = np.random.default_rng(seed)
     m = len(system.triples)
@@ -203,17 +242,19 @@ def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
         for k in k_set:
             mask_k[row, k - 1] = 1.0
 
+    # one draw in the per-trial order: real and imaginary parts of ma, then of mb
+    g = rng.standard_normal((trials, 4, r, r))
+    ma = g[:, 0] + 1j * g[:, 1]
+    mb = g[:, 2] + 1j * g[:, 3]
+    ha = (ma + ma.conj().transpose(0, 2, 1)) / 2
+    hb = (mb + mb.conj().transpose(0, 2, 1)) / 2
+    spectra = _jacobi_batch(np.concatenate((ha, hb, ha + hb)))
+
     violations = 0
     max_slack = 0.0
     max_trace = 0.0
-    for _ in range(trials):
-        ma = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        mb = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        ha = (ma + ma.conj().T) / 2
-        hb = (mb + mb.conj().T) / 2
-        a = np.array(jacobi_eigenvalues(ha))
-        b = np.array(jacobi_eigenvalues(hb))
-        c = np.array(jacobi_eigenvalues(ha + hb))
+    for trial in range(trials):
+        a, b, c = (np.array(spectra[k * trials + trial]) for k in range(3))
         trace_err = abs(a.sum() + b.sum() - c.sum())
         max_trace = max(max_trace, trace_err)
         excess = mask_i @ a + mask_j @ b - mask_k @ c

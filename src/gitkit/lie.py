@@ -180,5 +180,7 @@ def dominantize(mu: Weight):
         perm[i] = j
     w = WeylElement(tuple(perm))
     dom = w.apply(mu)
-    assert is_dominant(dom)
+    if not is_dominant(dom):
+        raise GitkitError("internal", "sorting did not give a dominant weight",
+                          {"mu": weight_to_json(mu)})
     return w, dom

@@ -204,6 +204,31 @@ def test_seed_env_overrides_flag(capsys, monkeypatch):
     assert json.loads(err)["code"] == "bad_seed"
 
 
+def test_horn_sample_stdout_pinned(capsys, monkeypatch):
+    # stdout recorded from the per-matrix Jacobi loop that preceded the batch
+    monkeypatch.delenv("GITKIT_SEED", raising=False)
+    want = {
+        2: '{"max_slack_error": 0.0, "max_trace_error": 3.3306690738754696e-15, '
+           '"r": 2, "trials": 200, "violations": 0}\n',
+        3: '{"max_slack_error": 0.0, "max_trace_error": 1.1102230246251565e-14, '
+           '"r": 3, "trials": 200, "violations": 0}\n',
+        4: '{"max_slack_error": 0.0, "max_trace_error": 1.687538997430238e-14, '
+           '"r": 4, "trials": 200, "violations": 0}\n',
+    }
+    for r, line in want.items():
+        code, out, err = run(["horn", "sample", "--r", str(r), "--trials", "200",
+                              "--seed", "7"], capsys)
+        assert (code, out, err) == (0, line, "")
+
+
+def test_horn_sample_negative_trials_exits_one(capsys):
+    code, out, err = run(["horn", "sample", "--r", "2", "--trials", "-5"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "bad_input"
+    code, out, _ = run(["horn", "sample", "--r", "2", "--trials", "0"], capsys)
+    assert code == 0 and json.loads(out)["trials"] == 0
+
+
 def test_examples_report(capsys):
     code, out, err = run(["examples"], capsys)
     assert code == 0

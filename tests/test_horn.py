@@ -4,12 +4,15 @@ numpy.linalg.eigvalsh is the frozen oracle for the hand-rolled Jacobi sweep;
 the two implementations share no code beyond matrix storage.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gitkit.horn import (
+    SampleReport,
+    _jacobi_batch,
     check_triple,
     generate_horn_system,
     jacobi_eigenvalues,
@@ -136,6 +139,177 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigenvalues([[0, 1], [0, 0]])
     with pytest.raises(GitkitError):
         jacobi_eigenvalues([[1, 2, 3], [4, 5, 6]])
+
+
+# Bit-for-bit pins.  The strings below are repr() of the results of the
+# per-matrix rotation loop that preceded the lockstep batch (the
+# `_loop_jacobi` reference below), recorded on the inputs built here.
+
+def _pinned_matrices():
+    """Real symmetric (the doubling then has many exact-zero pivots),
+    singular rounded-integer and complex Hermitian matrices for n = 1..7,
+    then a few hand cases with signed zeros and negligible pivots."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for n in range(1, 8):
+        g = rng.standard_normal((n, n))
+        out.append((g + g.T) / 2)
+        x = np.round(3 * rng.standard_normal((n, max(n - 2, 0))))
+        out.append(x @ x.T)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out.append((m + m.conj().T) / 2)
+    out.append(np.diag([-0.0, 3.0, -0.0]))
+    out.append(np.array([[1.0, 0.0, 2.0], [0.0, 5.0, 0.0], [2.0, 0.0, 1.0]]))
+    out.append(np.array([[1.0, 1e-31], [1e-31, 2.0]]))
+    out.append(np.array([[2, 1j, 0], [-1j, 2, -3], [0, -3, -1]]))
+    return out
+
+
+PINNED_SPECTRA = [
+    '[1.719322713705985]',
+    '[0.0]',
+    '[0.19430952285125133]',
+    '[0.6173748446939213, -0.139102749377564]',
+    '[0.0, 0.0]',
+    '[0.9073769107297651, -1.9973420020964472]',
+    '[1.37126744733233, 0.5463890638699742, -1.7751895837385743]',
+    '[60.99999999999999, 0.0, -1.5257084510814462e-15]',
+    '[2.4351101024215, 0.08256897201653787, -1.988569032689273]',
+    '[2.7640478356117755, 1.7554342032368218, -0.9077153258992448, -1.5966630145825718]',
+    '[66.58456208473912, 4.415437915260895, -1.1407942261355747e-16, -1.7128007965841506e-15]',
+    '[2.2622485090832134, 0.39087716904418335, -0.5329643928302628, -3.8410072626115546]',
+    '[0.8093246660279678, 0.4786684903060452, -0.8728883918547701, -2.4854384258748325, -3.3206030553612216]',
+    '[60.286326156031976, 34.5966427619272, 24.11703108204077, 7.564845952698122e-16, -4.623313028581786e-15]',
+    '[3.3899123405234186, 2.2675727553488, 0.7617037301008985, -0.4691299648272462, -3.1216248304372614]',
+    '[3.5952013229125774, 1.296615278300968, 0.39200059096305256, 0.01441475784278609, -1.0441693524096274, -2.7414646377643646]',
+    '[104.34950112672308, 35.905617228587424, 7.734724330290891, 7.010157314398797, -1.937036493689312e-15, -5.1895753939584475e-15]',
+    '[4.867023537568001, 2.5884483164703953, 1.0156438582687888, 0.0878404577998794, -1.5616881974144325, -2.3616998652125014]',
+    '[2.2529937111404372, 1.7821043011813686, 1.5239583859944368, 0.18058728393101728, -1.5423011442622234, -2.2814369303209485, -3.2218418733850784]',
+    '[142.1900826553449, 94.99175483149267, 59.382308508887654, 15.799023041095722, 1.6368309631792162, 2.48827932841541e-15, -4.398592307133609e-15]',
+    '[5.393663951038941, 2.8425054159488328, 0.2924042360820662, -1.0389178458534731, -1.9202574319292234, -3.5889884237725904, -4.00080471783712]',
+    '[3.0, -0.0, -0.0]',
+    '[5.0, 2.9999999999999996, -0.9999999999999998]',
+    '[2.0, 1.0]',
+    '[4.190470033350819, 1.7211578094052262, -2.911627842756043]',
+]
+
+# (r, seed, trials): (violations, repr of max_slack_error, repr of max_trace_error)
+PINNED_REPORTS = {
+    (2, 0, 0): (0, '0.0', '0.0'),
+    (2, 9, 50): (0, '0.0', '3.1086244689504383e-15'),
+    (3, 1, 20): (0, '0.0', '1.0658141036401503e-14'),
+    (3, 42, 7): (0, '0.0', '6.217248937900877e-15'),
+    (4, 7, 10): (0, '0.0', '1.4432899320127035e-14'),
+    (5, 3, 4): (0, '0.0', '2.6645352591003757e-14'),
+    (6, 11, 2): (0, '0.0', '1.5987211554602254e-14'),
+}
+
+
+def _loop_jacobi(h, tol=1e-12, max_sweeps=100):
+    """The per-matrix rotation loop, kept as the reference for bit identity."""
+    import math
+
+    a = np.asarray(h, dtype=complex)
+    x, y = a.real.copy(), a.imag.copy()
+    s_mat = np.block([[x, -y], [y, x]])
+    n = 2 * a.shape[0]
+    scale = max(1.0, float(np.linalg.norm(s_mat)))
+    for _sweep in range(max_sweeps):
+        off_part = s_mat - np.diag(np.diag(s_mat))
+        off = math.sqrt(float(np.sum(off_part ** 2)))
+        if off <= tol * scale:
+            return sorted(np.diag(s_mat).tolist(), reverse=True)[0::2]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = s_mat[p, q]
+                if abs(apq) <= 1e-30:
+                    continue
+                tau = (s_mat[q, q] - s_mat[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                cth = 1.0 / math.sqrt(1.0 + t * t)
+                sth = t * cth
+                cp = s_mat[:, p].copy()
+                cq = s_mat[:, q].copy()
+                s_mat[:, p] = cth * cp - sth * cq
+                s_mat[:, q] = sth * cp + cth * cq
+                rp = s_mat[p, :].copy()
+                rq = s_mat[q, :].copy()
+                s_mat[p, :] = cth * rp - sth * rq
+                s_mat[q, :] = sth * rp + cth * rq
+    raise AssertionError("reference Jacobi did not converge")
+
+
+def test_jacobi_bits_pinned():
+    mats = _pinned_matrices()
+    assert [repr(jacobi_eigenvalues(h)) for h in mats] == PINNED_SPECTRA
+    assert [repr(_loop_jacobi(h)) for h in mats] == PINNED_SPECTRA
+
+
+def test_jacobi_matches_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for n in range(1, 6):
+        for _ in range(4):
+            g = rng.standard_normal((n, n))
+            m = g + 1j * rng.standard_normal((n, n))
+            for h in ((g + g.T) / 2, np.round(2 * (g + g.T)), (m + m.conj().T) / 2):
+                assert repr(jacobi_eigenvalues(h)) == repr(_loop_jacobi(h)), h
+
+
+def test_sample_report_bits_pinned():
+    for (r, seed, trials), (violations, slack, trace) in PINNED_REPORTS.items():
+        rep = sample_hermitian_validate(r, trials=trials, seed=seed)
+        assert (rep.r, rep.trials, rep.violations) == (r, trials, violations)
+        assert repr(float(rep.max_slack_error)) == slack, (r, seed, trials)
+        assert repr(float(rep.max_trace_error)) == trace, (r, seed, trials)
+
+
+def test_batch_matches_single_calls():
+    # lanes that converge at different sweeps, with signed zeros and
+    # exact-zero pivots, diagonalized together and one at a time
+    rng = np.random.default_rng(5)
+    r = 4
+    mats = [np.diag([-0.0, 2.0, -0.0, -1.0]), np.zeros((r, r))]
+    for _ in range(3):
+        g = rng.standard_normal((r, r))
+        m = g + 1j * rng.standard_normal((r, r))
+        mats += [(g + g.T) / 2, np.round(g @ g.T), (m + m.conj().T) / 2]
+        # a -0.0 that never rotates alone, in lanes that stay in the batch
+        # while the others rotate its pivots; a skipped lane keeps its sign
+        for h in (g + g.T, m + m.conj().T):
+            h[-1, :] = h[:, -1] = 0.0
+            h[-1, -1] = -0.0
+            mats.append(h)
+    stack = np.stack([np.asarray(h, dtype=complex) for h in mats])
+    assert repr(_jacobi_batch(stack)) == repr([jacobi_eigenvalues(h) for h in mats])
+    assert _jacobi_batch(np.zeros((0, r, r), dtype=complex)) == []
+
+
+@pytest.mark.parametrize("bad", [
+    [[float("nan")]],
+    [[float("inf")]],
+    [[1.0, 2.0], [2.0, -float("inf")]],
+    [[1.0, complex(0.0, float("nan"))], [complex(0.0, float("nan")), 1.0]],
+])
+def test_jacobi_rejects_non_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GitkitError) as exc:
+            jacobi_eigenvalues(bad)
+    assert exc.value.code == "bad_matrix"
+
+
+def test_jacobi_sweep_limit():
+    with pytest.raises(GitkitError) as exc:
+        jacobi_eigenvalues([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.0]], max_sweeps=1)
+    assert exc.value.code == "jacobi_no_convergence"
+    assert jacobi_eigenvalues([[2.0, 0.0], [0.0, 1.0]], max_sweeps=1) == [2.0, 1.0]
+
+
+def test_sample_rejects_negative_trials():
+    with pytest.raises(GitkitError) as exc:
+        sample_hermitian_validate(2, trials=-5)
+    assert exc.value.code == "bad_input"
+    assert sample_hermitian_validate(2, trials=0) == SampleReport(2, 0, 0, 0.0, 0.0)
 
 
 def test_sampled_spectra_satisfy_system():
