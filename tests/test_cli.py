@@ -3,6 +3,7 @@ exit codes, and determinism of repeated runs."""
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,31 @@ def test_registry_matches_parser_tree():
         assert group in tree, func_name
         if op is not None:
             assert op in tree[group], func_name
+
+
+# every (group, op) of REGISTRY with its exact stdout and exit code, and the
+# stderr JSON of domain errors; "{tmp}" stands for the directory of the files
+PINNED = json.loads(Path(__file__).with_name("cli_pinned.json").read_text())
+
+
+def test_pinned_cases_cover_registry():
+    ops = {(c["argv"][0], c["argv"][1] if len(c["argv"]) > 1 else None)
+           for c in PINNED["cases"]}
+    assert set(REGISTRY.values()) <= ops
+
+
+@pytest.mark.parametrize("case", PINNED["cases"],
+                         ids=[f"{i:02d}-" + "-".join(c["argv"][:2])
+                              for i, c in enumerate(PINNED["cases"])])
+def test_pinned_output(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GITKIT_SEED", raising=False)
+    for name, obj in PINNED["files"].items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in case["argv"]], capsys)
+    assert code == case["exit"]
+    assert out.replace(str(tmp_path), "{tmp}") == case["stdout"]
+    if case["stderr"] is not None:
+        assert err.replace(str(tmp_path), "{tmp}") == case["stderr"]
 
 
 def test_weyl_character_output(capsys):
