@@ -374,9 +374,5 @@ def bwb_cohomology(lam: Weight):
     return w.length, wsub(dom, shift)
 
 
-def character_to_json(poly: LaurentPoly) -> list:
-    return poly.to_json()
-
-
 def decomposition_to_json(decomp: dict) -> list:
     return [{"weight": weight_to_json(w), "mult": m} for w, m in sorted(decomp.items(), reverse=True)]

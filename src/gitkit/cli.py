@@ -14,53 +14,9 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
-from . import characters, horn, lie, localization, polytopes, puzzles, stability
+from . import characters, lie, localization, polytopes, puzzles, stability
 from .lie import GitkitError
-
-REGISTRY = {
-    "weyl_orbit": ("lie", "orbit"),
-    "rho": ("lie", "rho"),
-    "dominantize": ("lie", "dominantize"),
-    "weyl_character": ("char", "weyl"),
-    "tensor_decompose": ("char", "tensor"),
-    "invariant_dim": ("char", "invariant"),
-    "bwb_cohomology": ("char", "bwb"),
-    "count_puzzles": ("puzzles", "count"),
-    "lr_coefficient": ("puzzles", "lr"),
-    "associativity_check": ("puzzles", "assoc"),
-    "generate_horn_system": ("horn", "generate"),
-    "check_triple": ("horn", "check"),
-    "sample_hermitian_validate": ("horn", "sample"),
-    "polygon_nonempty": ("horn", "polygon"),
-    "sl2_config_semistable": ("horn", "sl2"),
-    "moment_map": ("stability", "moment"),
-    "orbit_moment_polytope": ("stability", "polytope"),
-    "classify_stability": ("stability", "classify"),
-    "hm_slope": ("stability", "slope"),
-    "max_destabilizing": ("stability", "destab"),
-    "kempf_ness": ("stability", "kn"),
-    "minimize_kempf_ness": ("stability", "flow"),
-    "associated_graded": ("stability", "graded"),
-    "jordan_holder_cone": ("stability", "jh"),
-    "critical_types": ("stability", "types"),
-    "product": ("stability", "product"),
-    "hull": ("polytope", "hull"),
-    "kostant_polytope": ("polytope", "kostant"),
-    "lattice_points": ("polytope", "lattice"),
-    "is_delzant": ("polytope", "delzant"),
-    "symplectic_cut": ("polytope", "cut"),
-    "normal_fan": ("polytope", "fan"),
-    "brianchon_gram_check": ("polytope", "bg"),
-    "vertex_sum": ("localize", "toric"),
-    "series_evaluate": ("localize", "eval"),
-    "expand_in_box": ("localize", "expand"),
-    "p1_kn_identity": ("localize", "p1"),
-    "blowup_chi": ("localize", "blowup"),
-    "weyl_via_localization": ("localize", "weyl"),
-    "examples_report": ("examples", None),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,26 +76,34 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _point_from_args(args) -> stability.ProjPoint:
-    if getattr(args, "infile", None):
+def _point(args) -> stability.ProjPoint:
+    if args.infile:
         return stability.ProjPoint.from_json(_load_json(args.infile))
-    if getattr(args, "weights", None):
-        masses = getattr(args, "masses", None)
-        return stability.proj_point(args.weights, masses)
+    if args.weights:
+        return stability.proj_point(args.weights, args.masses)
     raise GitkitError("bad_input", "provide --in FILE or --weights", {})
 
 
-def _polytope_from_args(args, flag: str = "infile") -> polytopes.Polytope:
-    path = getattr(args, flag, None)
+def _point_pair(args) -> tuple:
+    if not args.infile:
+        raise GitkitError("bad_input", "provide --in FILE with points x and y", {})
+    obj = _load_json(args.infile)
+    if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
+        raise GitkitError("bad_input", "the input must be an object with keys x and y", {})
+    return stability.ProjPoint.from_json(obj["x"]), stability.ProjPoint.from_json(obj["y"])
+
+
+def _polytope(args, flag: str = "infile") -> polytopes.Polytope:
+    path = getattr(args, flag)
     if path:
         return polytopes.Polytope.from_json(_load_json(path))
-    if getattr(args, "points", None):
+    if args.points:
         return polytopes.hull(args.points)
     raise GitkitError("bad_input", "provide --in FILE or --points", {})
 
 
-def _series_from_args(args) -> localization.ConeSeries:
-    if getattr(args, "infile", None):
+def _series(args) -> localization.ConeSeries:
+    if args.infile:
         obj = _load_json(args.infile)
         if isinstance(obj, dict) and "series" in obj:
             obj = obj["series"]
@@ -147,221 +111,99 @@ def _series_from_args(args) -> localization.ConeSeries:
     raise GitkitError("bad_input", "provide --in FILE with a series", {})
 
 
-# ---------------------------------------------------------------- handlers
-
-def _h_lie_orbit(args):
-    orb = lie.weyl_orbit(args.lam, args.r if args.r else len(args.lam))
-    return {"orbit": [lie.weight_to_json(w) for w in sorted(orb)]}
-
-
-def _h_lie_rho(args):
-    return {"rho": lie.weight_to_json(lie.rho(args.r))}
-
-
-def _h_lie_dominantize(args):
-    res = lie.dominantize(args.mu)
-    if res is None:
-        return {"singular": True}
-    w, dom = res
-    return {"perm": list(w.perm), "length": w.length, "dominant": lie.weight_to_json(dom)}
-
-
-def _h_char_weyl(args):
-    lam = args.lam
-    if args.r and len(lam) != args.r:
+def _rank_checked(args):
+    if args.r and len(args.lam) != args.r:
         raise GitkitError("rank_mismatch", "--r disagrees with --lambda length",
-                          {"r": args.r, "lambda": len(lam)})
-    poly = characters.weyl_character(lam)
+                          {"r": args.r, "lambda": len(args.lam)})
+    return args.lam
+
+
+# ------------------------------------------------- results to JSON
+# Tuples print as JSON arrays, so a report whose fields are all JSON values
+# prints as `vars(report)`.
+
+def _weights(ws) -> list:
+    return [lie.weight_to_json(w) for w in ws]
+
+
+def _character(poly) -> dict:
     return {"character": poly.to_json(), "dim": poly.total_coeff_sum()}
 
 
-def _h_char_tensor(args):
-    out = characters.tensor_decompose(args.lam, args.mu)
-    return {"components": characters.decomposition_to_json(out)}
+def _dominant(res) -> dict:
+    if res is None:
+        return {"singular": True}
+    w, dom = res
+    return {"perm": w.perm, "length": w.length, "dominant": lie.weight_to_json(dom)}
 
 
-def _h_char_invariant(args):
-    return {"dim": characters.invariant_dim(list(args.weights), group=args.group)}
-
-
-def _h_char_bwb(args):
-    res = characters.bwb_cohomology(args.lam)
+def _bwb(res) -> dict:
     if res is None:
         return {"vanishes": True}
     deg, wt = res
     return {"degree": deg, "weight": lie.weight_to_json(wt)}
 
 
-def _h_puzzles_count(args):
-    n = puzzles.count_puzzles(args.r, args.iset, args.jset, args.kset, jobs=args.jobs)
+def _count(n, args) -> dict:
     out = {"count": n}
     if args.list:
-        fills = puzzles.enumerate_puzzles(args.r, args.iset, args.jset, args.kset,
-                                          limit=args.limit)
-        out["fillings"] = fills
+        out["fillings"] = puzzles.enumerate_puzzles(args.r, args.iset, args.jset, args.kset,
+                                                    limit=args.limit)
     return out
 
 
-def _h_puzzles_lr(args):
-    c = puzzles.lr_coefficient(args.r, args.s, args.lam, args.mu, args.nu, jobs=args.jobs)
-    return {"coefficient": c}
+def _horn_system(sys_, fmt: str):
+    if fmt == "json":
+        return sys_.to_json()
+    lines = [f"r={sys_.r} mode={sys_.mode} trace-equality plus {len(sys_.triples)} inequalities"]
+    lines += [f"I={list(i)} J={list(j)} K={list(k)} count={n}" for i, j, k, n in sys_.triples]
+    return "\n".join(lines)
 
 
-def _h_puzzles_assoc(args):
-    rep = puzzles.associativity_check(args.r, args.s, seed=_resolve_seed(args),
-                                      max_cases=args.max_cases)
-    return {"r": rep.r, "s": rep.s, "cases": rep.cases, "passed": rep.passed,
-            "counterexample": [list(t) for t in rep.counterexample] if rep.counterexample else None}
-
-
-def _h_horn_generate(args):
-    mode = "irredundant" if args.irredundant else "all-positive"
-    sys_ = horn.generate_horn_system(args.r, mode)
-    if args.format == "table":
-        lines = [f"r={sys_.r} mode={sys_.mode} trace-equality plus {len(sys_.triples)} inequalities"]
-        for i, j, k, n in sys_.triples:
-            lines.append(f"I={list(i)} J={list(j)} K={list(k)} count={n}")
-        return "\n".join(lines)
-    return sys_.to_json()
-
-
-def _h_horn_check(args):
-    res = horn.check_triple(args.a, args.b, args.c)
+def _feasible(res) -> dict:
     if res.feasible:
         return {"feasible": True}
     if res.violated == ("trace",):
         return {"feasible": False, "violated": "trace"}
     i, j, k = res.violated
-    return {"feasible": False, "violated": {"I": list(i), "J": list(j), "K": list(k)}}
+    return {"feasible": False, "violated": {"I": i, "J": j, "K": k}}
 
 
-def _h_horn_sample(args):
-    rep = horn.sample_hermitian_validate(args.r, trials=args.trials, seed=_resolve_seed(args),
-                                         tol=args.tol)
-    return {"r": rep.r, "trials": rep.trials, "violations": rep.violations,
-            "max_slack_error": rep.max_slack_error, "max_trace_error": rep.max_trace_error}
-
-
-def _h_horn_polygon(args):
-    return {"nonempty": horn.polygon_nonempty(args.lengths)}
-
-
-def _h_horn_sl2(args):
-    ok, witness = horn.sl2_config_semistable(list(args.masses),
-                                             expected_total=args.total)
-    return {"semistable": ok, "witness": witness}
-
-
-def _h_stab_moment(args):
-    x = _point_from_args(args)
-    return {"moment": lie.weight_to_json(stability.moment_map(x, shift=args.shift))}
-
-
-def _h_stab_polytope(args):
-    return stability.orbit_moment_polytope(_point_from_args(args)).to_json()
-
-
-def _h_stab_classify(args):
-    return stability.verdict_to_json(stability.classify_stability(_point_from_args(args)))
-
-
-def _h_stab_slope(args):
-    s = stability.hm_slope(_point_from_args(args), args.lam)
+def _slope(s) -> dict:
     return {"num": lie.fmt_rat(s.num), "lam_normsq": lie.fmt_rat(s.lam_normsq),
             "value": s.value}
 
 
-def _h_stab_destab(args):
-    res = stability.max_destabilizing(_point_from_args(args))
+def _destab(res) -> dict:
     if res is None:
         return {"semistable": True}
     return {"lam_star": lie.weight_to_json(res.lam_star),
             "slope_sq": lie.fmt_rat(res.slope_sq), "slope": res.slope}
 
 
-def _h_stab_kn(args):
-    val, grad = stability.kempf_ness(_point_from_args(args), args.xi)
-    return {"value": val, "gradient": list(grad)}
+def _lattice(pts) -> dict:
+    return {"points": _weights(pts), "count": len(pts)}
 
 
-def _h_stab_flow(args):
-    res = stability.minimize_kempf_ness(_point_from_args(args), xi0=args.xi0,
-                                        tol=args.tol, max_iter=args.max_iter)
-    if isinstance(res, stability.Converged):
-        return {"outcome": "Converged", "xi": list(res.xi), "value": res.value,
-                "residual": res.residual, "iterations": res.iterations}
-    return {"outcome": "Escaped", "direction": list(res.direction), "slope": res.slope,
-            "iterations": res.iterations}
+def _delzant(rep) -> dict:
+    if rep.ok:
+        return {"delzant": True}
+    return {"delzant": False, "failing_vertex": lie.weight_to_json(rep.failing_vertex),
+            "reason": rep.reason}
 
 
-def _h_stab_graded(args):
-    return stability.associated_graded(_point_from_args(args), args.lam).to_json()
+def _cut(res) -> dict:
+    if res.polytope is None:
+        return {"kind": res.kind}
+    return {"kind": res.kind, "polytope": res.polytope.to_json()}
 
 
-def _h_stab_jh(args):
-    gens = stability.jordan_holder_cone(_point_from_args(args))
-    return {"generators": [lie.weight_to_json(g) for g in gens]}
+def _fan(fan) -> dict:
+    return {"cones": [{"face_dim": c["face_dim"], "face_vertices": _weights(c["face_vertices"]),
+                       "generators": c["generators"]} for c in fan]}
 
 
-def _h_stab_types(args):
-    types = stability.critical_types(list(args.weights))
-    return {"types": [lie.weight_to_json(t) for t in sorted(types)]}
-
-
-def _h_stab_product(args):
-    obj = _load_json(args.infile)
-    x = stability.ProjPoint.from_json(obj["x"])
-    y = stability.ProjPoint.from_json(obj["y"])
-    return stability.product(x, y).to_json()
-
-
-def _h_poly_hull(args):
-    return _polytope_from_args(args).to_json()
-
-
-def _h_poly_kostant(args):
-    return polytopes.kostant_polytope(args.lam).to_json()
-
-
-def _h_poly_lattice(args):
-    pts = polytopes.lattice_points(_polytope_from_args(args))
-    return {"points": [lie.weight_to_json(q) for q in pts], "count": len(pts)}
-
-
-def _h_poly_delzant(args):
-    rep = polytopes.is_delzant(_polytope_from_args(args))
-    out = {"delzant": rep.ok}
-    if not rep.ok:
-        out["failing_vertex"] = lie.weight_to_json(rep.failing_vertex)
-        out["reason"] = rep.reason
-    return out
-
-
-def _h_poly_cut(args):
-    res = polytopes.symplectic_cut(_polytope_from_args(args), args.normal, args.level)
-    out = {"kind": res.kind}
-    if res.polytope is not None:
-        out["polytope"] = res.polytope.to_json()
-    return out
-
-
-def _h_poly_fan(args):
-    fan = polytopes.normal_fan(_polytope_from_args(args))
-    return {"cones": [{"face_dim": c["face_dim"],
-                       "face_vertices": [lie.weight_to_json(v) for v in c["face_vertices"]],
-                       "generators": [list(g) for g in c["generators"]]} for c in fan]}
-
-
-def _h_poly_bg(args):
-    rep = polytopes.brianchon_gram_check(_polytope_from_args(args), samples=args.samples,
-                                         seed=_resolve_seed(args))
-    return {"checked": rep.checked, "passed": rep.passed, "resampled": rep.resampled,
-            "failures": [list(f) for f in rep.failures]}
-
-
-def _h_loc_toric(args):
-    p = _polytope_from_args(args, flag="polytope")
-    series = localization.vertex_sum(p)
+def _toric(series, args) -> dict:
     out = {"series": series.to_json()}
     if args.eval is not None:
         out["value"] = lie.fmt_rat(localization.evaluate(series, args.eval))
@@ -370,278 +212,218 @@ def _h_loc_toric(args):
     return out
 
 
-def _h_loc_eval(args):
-    series = _series_from_args(args)
-    return {"value": lie.fmt_rat(localization.evaluate(series, args.point))}
+def _p1(rep) -> dict:
+    return {**vars(rep), "expansion": rep.expansion.to_json()}
 
 
-def _h_loc_expand(args):
-    series = _series_from_args(args)
-    return {"expansion": localization.expand_in_box(series, args.box).to_json()}
+def _blowup(series, rep) -> dict:
+    return {**vars(rep), "series": series.to_json()}
 
 
-def _h_loc_p1(args):
-    rep = localization.p1_kn_identity(args.d)
-    return {"d": rep.d, "passed": rep.passed, "box": [list(b) for b in rep.box],
-            "expansion": rep.expansion.to_json()}
+def _weyl_series(series, poly) -> dict:
+    return {"series": series.to_json(), **_character(poly)}
 
 
-def _h_loc_blowup(args):
-    series, rep = localization.blowup_chi(args.d, args.e)
-    return {"d": rep.d, "e": rep.e, "chi": rep.chi,
-            "h0": [list(w) for w in rep.h0], "h1": [list(w) for w in rep.h1],
-            "series": series.to_json()}
-
-
-def _h_loc_weyl(args):
-    series, poly = localization.weyl_via_localization(args.lam)
-    return {"series": series.to_json(), "character": poly.to_json(),
-            "dim": poly.total_coeff_sum()}
-
-
-def _h_examples(args):
-    from . import examples as ex
-
-    rows, all_ok = ex.run_all()
+def _examples(rows, all_ok) -> None:
     width = max(len(r[0]) for r in rows)
     for name, status, detail in rows:
         print(f"{name:<{width}}  {status:<4}  {detail}")
     print(f"total {len(rows)} cases, {'all passed' if all_ok else 'FAILURES PRESENT'}")
     if not all_ok:
         raise GitkitError("examples_failed", "some worked examples failed", {})
-    return None
 
 
-# ---------------------------------------------------------------- parser
+# ------------------------------------------------- the table
+# A flag is (option string, add_argument keywords).
 
-def _add_common(sp, seed=False, jobs=False, infile=False):
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
-    if jobs:
-        sp.add_argument("--jobs", type=int, default=1)
-    if infile:
-        sp.add_argument("--in", dest="infile", default=None)
+def _req(flag, type=None, **kw):
+    return flag, {"type": type, "required": True, **kw}
+
+
+def _opt(flag, type=None, default=None, **kw):
+    return flag, {"type": type, "default": default, **kw}
+
+
+_SWITCH = {"action": "store_true"}
+_IN = _opt("--in", dest="infile")
+_POINT = [_opt("--weights", _weights_arg), _opt("--masses", _weight_arg), _IN]
+_POINTS = _opt("--points", _weights_arg)
+_SEED = _opt("--seed", int, 0)
+_LAMBDA = _req("--lambda", _weight_arg, dest="lam")
+_R = _req("--r", int)
+_TOL = _opt("--tol", float, 1e-8)
+
+_GROUPS = {
+    "lie": "weights, orbits, sorting",
+    "char": "characters and cohomology",
+    "puzzles": "boundary counts and structure constants",
+    "horn": "eigenvalue inequality systems",
+    "stability": "torus actions on projective points",
+    "polytope": "hulls, cuts, fans",
+    "localize": "fixed-point sums and expansions",
+    "examples": "run the worked-example regression table",
+}
+
+
+def _op(group, op, func, flags, run, name=None):
+    """One row of COMMANDS.  `func` names the library function as
+    "module.name"; `run(f, args)` calls it as `f` and returns the JSON value
+    to print (a string prints as is, None prints nothing).  `name` is the
+    REGISTRY key when it is not the function's name."""
+    return name or func.partition(".")[2], group, op, func, flags, run
+
+
+COMMANDS = (
+    _op("lie", "orbit", "lie.weyl_orbit", [_LAMBDA, _opt("--r", int, 0)],
+        lambda f, a: {"orbit": _weights(sorted(f(a.lam, a.r or len(a.lam))))}),
+    _op("lie", "rho", "lie.rho", [_R], lambda f, a: {"rho": lie.weight_to_json(f(a.r))}),
+    _op("lie", "dominantize", "lie.dominantize", [_req("--mu", _weight_arg)],
+        lambda f, a: _dominant(f(a.mu))),
+
+    _op("char", "weyl", "characters.weyl_character", [_LAMBDA, _opt("--r", int, 0)],
+        lambda f, a: _character(f(_rank_checked(a)))),
+    _op("char", "tensor", "characters.tensor_decompose", [_LAMBDA, _req("--mu", _weight_arg)],
+        lambda f, a: {"components": characters.decomposition_to_json(f(a.lam, a.mu))}),
+    _op("char", "invariant", "characters.invariant_dim",
+        [_req("--weights", _weights_arg, help="semicolon-separated highest weights"),
+         _opt("--group", default="SL", choices=("SL", "GL"))],
+        lambda f, a: {"dim": f(list(a.weights), group=a.group)}),
+    _op("char", "bwb", "characters.bwb_cohomology", [_LAMBDA], lambda f, a: _bwb(f(a.lam))),
+
+    _op("puzzles", "count", "puzzles.count_puzzles",
+        [_R, _req("--I", _subset_arg, dest="iset"), _req("--J", _subset_arg, dest="jset"),
+         _req("--K", _subset_arg, dest="kset"), ("--list", _SWITCH), _opt("--limit", int)],
+        lambda f, a: _count(f(a.r, a.iset, a.jset, a.kset), a)),
+    _op("puzzles", "lr", "puzzles.lr_coefficient",
+        [_R, _req("--s", int), _req("--lam", _subset_arg), _req("--mu", _subset_arg),
+         _req("--nu", _subset_arg)],
+        lambda f, a: {"coefficient": f(a.r, a.s, a.lam, a.mu, a.nu)}),
+    _op("puzzles", "assoc", "puzzles.associativity_check",
+        [_R, _req("--s", int), _opt("--max-cases", int), _SEED],
+        lambda f, a: vars(f(a.r, a.s, seed=_resolve_seed(a), max_cases=a.max_cases))),
+
+    _op("horn", "generate", "horn.generate_horn_system",
+        [_R, ("--irredundant", _SWITCH),
+         _opt("--format", default="json", choices=("json", "table"))],
+        lambda f, a: _horn_system(f(a.r, "irredundant" if a.irredundant else "all-positive"),
+                                  a.format)),
+    _op("horn", "check", "horn.check_triple",
+        [_req("--a", _weight_arg), _req("--b", _weight_arg), _req("--c", _weight_arg)],
+        lambda f, a: _feasible(f(a.a, a.b, a.c))),
+    _op("horn", "sample", "horn.sample_hermitian_validate",
+        [_R, _opt("--trials", int, 1000), _TOL, _SEED],
+        lambda f, a: vars(f(a.r, trials=a.trials, seed=_resolve_seed(a), tol=a.tol))),
+    _op("horn", "polygon", "horn.polygon_nonempty", [_req("--lengths", _weight_arg)],
+        lambda f, a: {"nonempty": f(a.lengths)}),
+    _op("horn", "sl2", "horn.sl2_config_semistable",
+        [_req("--masses", _weight_arg), _opt("--total")],
+        lambda f, a: dict(zip(("semistable", "witness"),
+                              f(list(a.masses), expected_total=a.total)))),
+
+    _op("stability", "moment", "stability.moment_map", [*_POINT, _opt("--shift", _weight_arg)],
+        lambda f, a: {"moment": lie.weight_to_json(f(_point(a), shift=a.shift))}),
+    _op("stability", "polytope", "stability.orbit_moment_polytope", _POINT,
+        lambda f, a: f(_point(a)).to_json()),
+    _op("stability", "classify", "stability.classify_stability", _POINT,
+        lambda f, a: stability.verdict_to_json(f(_point(a)))),
+    _op("stability", "slope", "stability.hm_slope", [*_POINT, _LAMBDA],
+        lambda f, a: _slope(f(_point(a), a.lam))),
+    _op("stability", "destab", "stability.max_destabilizing", _POINT,
+        lambda f, a: _destab(f(_point(a)))),
+    _op("stability", "kn", "stability.kempf_ness", [*_POINT, _req("--xi", _weight_arg)],
+        lambda f, a: dict(zip(("value", "gradient"), f(_point(a), a.xi)))),
+    _op("stability", "flow", "stability.minimize_kempf_ness",
+        [*_POINT, _opt("--xi0", _weight_arg), _TOL, _opt("--max-iter", int, 100000)],
+        lambda f, a: vars(f(_point(a), xi0=a.xi0, tol=a.tol, max_iter=a.max_iter))),
+    _op("stability", "graded", "stability.associated_graded", [*_POINT, _LAMBDA],
+        lambda f, a: f(_point(a), a.lam).to_json()),
+    _op("stability", "jh", "stability.jordan_holder_cone", _POINT,
+        lambda f, a: {"generators": _weights(f(_point(a)))}),
+    _op("stability", "types", "stability.critical_types", [_req("--weights", _weights_arg)],
+        lambda f, a: {"types": _weights(sorted(f(list(a.weights))))}),
+    _op("stability", "product", "stability.product", [_IN],
+        lambda f, a: f(*_point_pair(a)).to_json()),
+
+    # hull: --points goes to `polytopes.hull`, --in to `Polytope.from_json`, which calls it
+    _op("polytope", "hull", "polytopes.hull", [_POINTS, _IN],
+        lambda f, a: _polytope(a).to_json()),
+    _op("polytope", "kostant", "polytopes.kostant_polytope", [_LAMBDA],
+        lambda f, a: f(a.lam).to_json()),
+    _op("polytope", "lattice", "polytopes.lattice_points", [_POINTS, _IN],
+        lambda f, a: _lattice(f(_polytope(a)))),
+    _op("polytope", "delzant", "polytopes.is_delzant", [_POINTS, _IN],
+        lambda f, a: _delzant(f(_polytope(a)))),
+    _op("polytope", "cut", "polytopes.symplectic_cut",
+        [_POINTS, _req("--normal", _weight_arg), _req("--level"), _IN],
+        lambda f, a: _cut(f(_polytope(a), a.normal, a.level))),
+    _op("polytope", "fan", "polytopes.normal_fan", [_POINTS, _IN],
+        lambda f, a: _fan(f(_polytope(a)))),
+    _op("polytope", "bg", "polytopes.brianchon_gram_check",
+        [_POINTS, _opt("--samples", int, 200), _SEED, _IN],
+        lambda f, a: vars(f(_polytope(a), samples=a.samples, seed=_resolve_seed(a)))),
+
+    _op("localize", "toric", "localization.vertex_sum",
+        [_opt("--polytope", help="JSON file with the polytope"), _POINTS,
+         _opt("--eval", _weight_arg), _opt("--box", _box_arg)],
+        lambda f, a: _toric(f(_polytope(a, "polytope")), a)),
+    _op("localize", "eval", "localization.evaluate", [_req("--point", _weight_arg), _IN],
+        lambda f, a: {"value": lie.fmt_rat(f(_series(a), a.point))}, name="series_evaluate"),
+    _op("localize", "expand", "localization.expand_in_box", [_req("--box", _box_arg), _IN],
+        lambda f, a: {"expansion": f(_series(a), a.box).to_json()}),
+    _op("localize", "p1", "localization.p1_kn_identity", [_req("--d", int)],
+        lambda f, a: _p1(f(a.d))),
+    _op("localize", "blowup", "localization.blowup_chi", [_req("--d", int), _req("--e", int)],
+        lambda f, a: _blowup(*f(a.d, a.e))),
+    _op("localize", "weyl", "localization.weyl_via_localization", [_LAMBDA],
+        lambda f, a: _weyl_series(*f(a.lam))),
+
+    _op("examples", None, "examples.run_all", [], lambda f, a: _examples(*f()),
+        name="examples_report"),
+)
+
+REGISTRY = {name: (group, op) for name, group, op, *_ in COMMANDS}
+
+
+def _library(func: str):
+    """The library function "module.name", looked up in its module at call
+    time, so that whatever the module binds under that name then is called."""
+    module, _, name = func.partition(".")
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="gitkit", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    g = groups.add_parser("lie", help="weights, orbits, sorting")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-    sp = sub.add_parser("orbit")
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.add_argument("--r", type=int, default=0)
-    sp.set_defaults(func=_h_lie_orbit)
-    sp = sub.add_parser("rho")
-    sp.add_argument("--r", type=int, required=True)
-    sp.set_defaults(func=_h_lie_rho)
-    sp = sub.add_parser("dominantize")
-    sp.add_argument("--mu", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_lie_dominantize)
-
-    g = groups.add_parser("char", help="characters and cohomology")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-    sp = sub.add_parser("weyl")
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.add_argument("--r", type=int, default=0)
-    sp.set_defaults(func=_h_char_weyl)
-    sp = sub.add_parser("tensor")
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.add_argument("--mu", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_char_tensor)
-    sp = sub.add_parser("invariant")
-    sp.add_argument("--weights", type=_weights_arg, required=True,
-                    help="semicolon-separated highest weights")
-    sp.add_argument("--group", choices=("SL", "GL"), default="SL")
-    sp.set_defaults(func=_h_char_invariant)
-    sp = sub.add_parser("bwb")
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_char_bwb)
-
-    g = groups.add_parser("puzzles", help="boundary counts and structure constants")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-    sp = sub.add_parser("count")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--I", dest="iset", type=_subset_arg, required=True)
-    sp.add_argument("--J", dest="jset", type=_subset_arg, required=True)
-    sp.add_argument("--K", dest="kset", type=_subset_arg, required=True)
-    sp.add_argument("--list", action="store_true")
-    sp.add_argument("--limit", type=int, default=None)
-    _add_common(sp, jobs=True)
-    sp.set_defaults(func=_h_puzzles_count)
-    sp = sub.add_parser("lr")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--lam", type=_subset_arg, required=True)
-    sp.add_argument("--mu", type=_subset_arg, required=True)
-    sp.add_argument("--nu", type=_subset_arg, required=True)
-    _add_common(sp, jobs=True)
-    sp.set_defaults(func=_h_puzzles_lr)
-    sp = sub.add_parser("assoc")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--max-cases", dest="max_cases", type=int, default=None)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=_h_puzzles_assoc)
-
-    g = groups.add_parser("horn", help="eigenvalue inequality systems")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-    sp = sub.add_parser("generate")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--irredundant", action="store_true")
-    sp.add_argument("--format", choices=("json", "table"), default="json")
-    sp.set_defaults(func=_h_horn_generate)
-    sp = sub.add_parser("check")
-    sp.add_argument("--a", type=_weight_arg, required=True)
-    sp.add_argument("--b", type=_weight_arg, required=True)
-    sp.add_argument("--c", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_horn_check)
-    sp = sub.add_parser("sample")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=_h_horn_sample)
-    sp = sub.add_parser("polygon")
-    sp.add_argument("--lengths", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_horn_polygon)
-    sp = sub.add_parser("sl2")
-    sp.add_argument("--masses", type=_weight_arg, required=True)
-    sp.add_argument("--total", default=None)
-    sp.set_defaults(func=_h_horn_sl2)
-
-    g = groups.add_parser("stability", help="torus actions on projective points")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-
-    def point_flags(sp):
-        sp.add_argument("--weights", type=_weights_arg, default=None)
-        sp.add_argument("--masses", type=_weight_arg, default=None)
-        _add_common(sp, infile=True)
-
-    sp = sub.add_parser("moment")
-    point_flags(sp)
-    sp.add_argument("--shift", type=_weight_arg, default=None)
-    sp.set_defaults(func=_h_stab_moment)
-    sp = sub.add_parser("polytope")
-    point_flags(sp)
-    sp.set_defaults(func=_h_stab_polytope)
-    sp = sub.add_parser("classify")
-    point_flags(sp)
-    sp.set_defaults(func=_h_stab_classify)
-    sp = sub.add_parser("slope")
-    point_flags(sp)
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_stab_slope)
-    sp = sub.add_parser("destab")
-    point_flags(sp)
-    sp.set_defaults(func=_h_stab_destab)
-    sp = sub.add_parser("kn")
-    point_flags(sp)
-    sp.add_argument("--xi", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_stab_kn)
-    sp = sub.add_parser("flow")
-    point_flags(sp)
-    sp.add_argument("--xi0", type=_weight_arg, default=None)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=100000)
-    sp.set_defaults(func=_h_stab_flow)
-    sp = sub.add_parser("graded")
-    point_flags(sp)
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_stab_graded)
-    sp = sub.add_parser("jh")
-    point_flags(sp)
-    sp.set_defaults(func=_h_stab_jh)
-    sp = sub.add_parser("types")
-    sp.add_argument("--weights", type=_weights_arg, required=True)
-    sp.set_defaults(func=_h_stab_types)
-    sp = sub.add_parser("product")
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_stab_product)
-
-    g = groups.add_parser("polytope", help="hulls, cuts, fans")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-    sp = sub.add_parser("hull")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_poly_hull)
-    sp = sub.add_parser("kostant")
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_poly_kostant)
-    sp = sub.add_parser("lattice")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_poly_lattice)
-    sp = sub.add_parser("delzant")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_poly_delzant)
-    sp = sub.add_parser("cut")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    sp.add_argument("--normal", type=_weight_arg, required=True)
-    sp.add_argument("--level", required=True)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_poly_cut)
-    sp = sub.add_parser("fan")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_poly_fan)
-    sp = sub.add_parser("bg")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    sp.add_argument("--samples", type=int, default=200)
-    _add_common(sp, seed=True, infile=True)
-    sp.set_defaults(func=_h_poly_bg)
-
-    g = groups.add_parser("localize", help="fixed-point sums and expansions")
-    sub = g.add_subparsers(dest="op", required=True, parser_class=_Parser)
-    sp = sub.add_parser("toric")
-    sp.add_argument("--polytope", dest="polytope", default=None,
-                    help="JSON file with the polytope")
-    sp.add_argument("--points", type=_weights_arg, default=None)
-    sp.add_argument("--eval", type=_weight_arg, default=None)
-    sp.add_argument("--box", type=_box_arg, default=None)
-    sp.set_defaults(func=_h_loc_toric)
-    sp = sub.add_parser("eval")
-    sp.add_argument("--point", type=_weight_arg, required=True)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_loc_eval)
-    sp = sub.add_parser("expand")
-    sp.add_argument("--box", type=_box_arg, required=True)
-    _add_common(sp, infile=True)
-    sp.set_defaults(func=_h_loc_expand)
-    sp = sub.add_parser("p1")
-    sp.add_argument("--d", type=int, required=True)
-    sp.set_defaults(func=_h_loc_p1)
-    sp = sub.add_parser("blowup")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--e", type=int, required=True)
-    sp.set_defaults(func=_h_loc_blowup)
-    sp = sub.add_parser("weyl")
-    sp.add_argument("--lambda", dest="lam", type=_weight_arg, required=True)
-    sp.set_defaults(func=_h_loc_weyl)
-
-    g = groups.add_parser("examples", help="run the worked-example regression table")
-    g.set_defaults(func=_h_examples, op=None)
-
+    ops = {}
+    for _, group, op, func, flags, run in COMMANDS:
+        if group not in ops:
+            sp = groups.add_parser(group, help=_GROUPS[group])
+            if op is not None:
+                ops[group] = sp.add_subparsers(dest="op", required=True, parser_class=_Parser)
+        if op is not None:
+            sp = ops[group].add_parser(op)
+        for flag, kw in flags:
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(func=func, run=run, op=op)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        out = args.func(args)
+        out = args.run(_library(args.func), args)
     except GitkitError as exc:
         err = {"code": exc.code, "message": exc.message, "context": exc.context}
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
-        return 1
-    if out is not None:
-        if isinstance(out, str):
-            print(out)
-        else:
-            print(json.dumps(out, sort_keys=True))
-    return 0
+    except (KeyError, TypeError, ValueError) as exc:
+        # malformed input that no check caught: one JSON report, not a traceback
+        err = {"code": "internal", "message": f"unexpected {type(exc).__name__}",
+               "context": {"error": str(exc)}}
+    else:
+        if out is not None:
+            print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+        return 0
+    print(json.dumps(err, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

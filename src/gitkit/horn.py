@@ -165,7 +165,11 @@ def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
     x, y = hs.real, hs.imag
     s_mat = np.block([[x, -y], [y, x]])
     n = s_mat.shape[-1]
-    scale = np.array([max(1.0, float(np.linalg.norm(m))) for m in s_mat])
+    with np.errstate(over="ignore"):
+        scale = np.array([max(1.0, float(np.linalg.norm(m))) for m in s_mat])
+    if not np.isfinite(scale).all():
+        # the squares of the entries overflow, so the sweep test would pass at once
+        raise GitkitError("bad_matrix", "matrix norm overflows a float", {})
     off_diag = ~np.eye(n, dtype=bool)
     live = np.arange(len(s_mat))
     out = [None] * len(s_mat)
@@ -226,6 +230,9 @@ def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
     """Draw Gaussian Hermitian pairs, diagonalize A, B, A + B with the Jacobi
     routine in one lockstep batch, and check every inequality of the system
     within tolerance."""
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise GitkitError("bad_input", "trials must be an integer",
+                          {"type": type(trials).__name__})
     if trials < 0:
         raise GitkitError("bad_input", "trials must be non-negative", {"trials": trials})
     system = generate_horn_system(r, "all-positive")

@@ -58,6 +58,9 @@ def weight(coords) -> Weight:
 
 
 def weight_from_json(arr) -> Weight:
+    if not isinstance(arr, list):
+        raise GitkitError("bad_input", "a weight must be a JSON list",
+                          {"type": type(arr).__name__})
     return tuple(parse_rat(c) for c in arr)
 
 

@@ -85,6 +85,10 @@ class ConeSeries:
 
     @staticmethod
     def from_json(arr) -> "ConeSeries":
+        if not isinstance(arr, list) or not all(
+                isinstance(item, dict) and {"num", "den", "dir"} <= item.keys() for item in arr):
+            raise GitkitError("bad_input", "a series must be a list of terms, each an "
+                              "object with keys num, den and dir", {})
         terms = []
         for item in arr:
             num = LaurentPoly.from_json(item["num"], rank=len(item["dir"]))

@@ -172,6 +172,9 @@ class Polytope:
 
     @staticmethod
     def from_json(obj) -> "Polytope":
+        if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), list):
+            raise GitkitError("bad_input", "a polytope must be an object with a list "
+                              "of vertices", {})
         return hull([weight_from_json(v) for v in obj["vertices"]])
 
 

@@ -70,8 +70,11 @@ def _row_fillings(i: int, nw_label: int, ne_target: int, s_prev: tuple):
             stack.append((j + 1, se, svec + (s,), ups + (piece,)))
 
 
-def _dp_rows(r: int, nw: list, ne: list, start_row: int, states: dict) -> dict:
-    for i in range(start_row, r + 1):
+def _final_states(r: int, i_set, j_set) -> dict:
+    """Number of fillings for each S-edge vector of the bottom row."""
+    nw, ne = _boundary_labels(r, i_set, j_set)
+    states = {(): 1}
+    for i in range(1, r + 1):
         nxt: dict = {}
         for s_prev, cnt in states.items():
             for svec, _ in _row_fillings(i, nw[i - 1], ne[i - 1], s_prev):
@@ -80,38 +83,7 @@ def _dp_rows(r: int, nw: list, ne: list, start_row: int, states: dict) -> dict:
     return states
 
 
-def _finish_dp(args):
-    r, nw, ne, start_row, items = args
-    return _dp_rows(r, nw, ne, start_row, dict(items))
-
-
-def _final_states(r: int, i_set, j_set, jobs: int = 1) -> dict:
-    nw, ne = _boundary_labels(r, i_set, j_set)
-    if jobs <= 1 or r < 4:
-        return _dp_rows(r, nw, ne, 1, {(): 1})
-    # run the first rows once, then farm the remaining rows out per state chunk
-    split = r // 2
-    states = {(): 1}
-    for i in range(1, split + 1):
-        nxt: dict = {}
-        for s_prev, cnt in states.items():
-            for svec, _ in _row_fillings(i, nw[i - 1], ne[i - 1], s_prev):
-                nxt[svec] = nxt.get(svec, 0) + cnt
-        states = nxt
-    items = sorted(states.items())
-    chunks = [items[k::jobs] for k in range(jobs)]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_finish_dp, [(r, nw, ne, split + 1, ch) for ch in chunks if ch])
-    out: dict = {}
-    for part in parts:
-        for k, v in part.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
-def count_puzzles(r: int, i_set, j_set, k_set, jobs: int = 1) -> int:
+def count_puzzles(r: int, i_set, j_set, k_set) -> int:
     """Number of legal fillings with the given boundary indicator sets."""
     if r < 1 or r > 8:
         raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
@@ -119,17 +91,17 @@ def count_puzzles(r: int, i_set, j_set, k_set, jobs: int = 1) -> int:
     j_set = _validate_subset(r, j_set, "J")
     k_set = _validate_subset(r, k_set, "K")
     target = tuple(1 if k in k_set else 0 for k in range(1, r + 1))
-    return _final_states(r, i_set, j_set, jobs=jobs).get(target, 0)
+    return _final_states(r, i_set, j_set).get(target, 0)
 
 
-def count_puzzles_all_k(r: int, i_set, j_set, jobs: int = 1) -> dict[tuple[int, ...], int]:
+def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
     """One DP pass with a free south boundary: counts for every K at once."""
     if r < 1 or r > 8:
         raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
     i_set = _validate_subset(r, i_set, "I")
     j_set = _validate_subset(r, j_set, "J")
     out = {}
-    for svec, cnt in _final_states(r, i_set, j_set, jobs=jobs).items():
+    for svec, cnt in _final_states(r, i_set, j_set).items():
         if any(x == 2 for x in svec):
             continue  # a 2 may not reach the boundary
         k = tuple(pos for pos, x in enumerate(svec, start=1) if x == 1)
@@ -258,7 +230,7 @@ def subset_to_partition(r: int, subset) -> tuple[int, ...]:
     return tuple((r - s) + k - sub[k - 1] for k in range(1, s + 1))
 
 
-def lr_coefficient(r: int, s: int, lam, mu, nu, jobs: int = 1) -> int:
+def lr_coefficient(r: int, s: int, lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient c_{lam,mu}^{nu} via puzzle counting.
 
     All three partitions must fit an s x (r-s) box.
@@ -271,7 +243,7 @@ def lr_coefficient(r: int, s: int, lam, mu, nu, jobs: int = 1) -> int:
     i_set = partition_to_subset(r, s, lam)
     j_set = partition_to_subset(r, s, mu)
     k_set = partition_to_subset(r, s, nu)
-    return count_puzzles(r, i_set, j_set, k_set, jobs=jobs)
+    return count_puzzles(r, i_set, j_set, k_set)
 
 
 @dataclass(frozen=True)

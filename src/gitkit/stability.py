@@ -53,6 +53,10 @@ class ProjPoint:
 
     @staticmethod
     def from_json(obj) -> "ProjPoint":
+        if (not isinstance(obj, dict) or not isinstance(obj.get("weights"), list)
+                or not isinstance(obj.get("masses", []), list)):
+            raise GitkitError("bad_input", "a point must be an object with a list of "
+                              "weights and an optional list of masses", {})
         ws = [weight_from_json(w) for w in obj["weights"]]
         cs = [parse_rat(c) for c in obj.get("masses", [1] * len(ws))]
         return proj_point(ws, cs)

@@ -191,6 +191,39 @@ def test_missing_infile_exits_one(tmp_path, capsys):
     assert json.loads(err)["code"] == "bad_file"
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["stability", "product"], {"x": {"weights": [["1", "0"]]}}),
+    (["polytope", "hull"], {}),
+    (["stability", "classify"], [1, 2]),
+    (["localize", "eval", "--point", "2"], {"series": 5}),
+    (["localize", "eval", "--point", "2"], {}),
+    (["stability", "classify"], {"weights": [1, 2]}),
+], ids=["product-no-y", "hull-no-vertices", "classify-list", "eval-series-int",
+        "eval-empty-object", "classify-int-weights"])
+def test_malformed_infile_is_bad_input(argv, content, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(argv + ["--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "bad_input"
+
+
+def test_product_without_infile_is_bad_input(capsys):
+    code, out, err = run(["stability", "product"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "bad_input"
+
+
+def test_unchecked_input_error_reports_internal(tmp_path, capsys):
+    # a term whose numerator is not a list passes the shape check of the series
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"num": 5, "den": [], "dir": ["1"]}]))
+    code, out, err = run(["localize", "eval", "--in", str(path), "--point", "2"], capsys)
+    assert (code, out) == (1, "")
+    obj = json.loads(err)
+    assert obj["code"] == "internal" and set(obj) == {"code", "context", "message"}
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["char", "weyl", "--lambda", "2,x"])

@@ -298,6 +298,26 @@ def test_jacobi_rejects_non_finite(bad):
     assert exc.value.code == "bad_matrix"
 
 
+@pytest.mark.parametrize("big", [
+    [[1e200, 3e200], [3e200, 1e200]],
+    [[1e155]],
+    [[1.0, complex(0.0, 1e160)], [complex(0.0, -1e160), 1.0]],
+])
+def test_jacobi_rejects_overflowing_norm(big):
+    # finite entries whose squares overflow would pass the sweep test at once
+    # and give back the unrotated diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GitkitError) as exc:
+            jacobi_eigenvalues(big)
+    assert exc.value.code == "bad_matrix"
+
+
+def test_jacobi_large_finite_norm():
+    got = jacobi_eigenvalues([[1e153, 3e153], [3e153, 1e153]])
+    assert np.allclose(got, [4e153, -2e153], rtol=1e-12, atol=0.0)
+
+
 def test_jacobi_sweep_limit():
     with pytest.raises(GitkitError) as exc:
         jacobi_eigenvalues([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.0]], max_sweeps=1)
@@ -310,6 +330,13 @@ def test_sample_rejects_negative_trials():
         sample_hermitian_validate(2, trials=-5)
     assert exc.value.code == "bad_input"
     assert sample_hermitian_validate(2, trials=0) == SampleReport(2, 0, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("trials", [2.5, True, "3"])
+def test_sample_rejects_non_integer_trials(trials):
+    with pytest.raises(GitkitError) as exc:
+        sample_hermitian_validate(2, trials=trials)
+    assert exc.value.code == "bad_input"
 
 
 def test_sampled_spectra_satisfy_system():

@@ -139,13 +139,6 @@ def test_bad_subset_raises():
     assert count_puzzles(3, (1, 2), (1,), (1, 2)) == 0
 
 
-def test_parallel_jobs_agree():
-    iset, jset = (1, 3, 4), (2, 3, 5)
-    one = count_puzzles_all_k(5, iset, jset, jobs=1)
-    two = count_puzzles_all_k(5, iset, jset, jobs=2)
-    assert one == two
-
-
 def test_associativity_sweep_rank4():
     report = associativity_check(4, 2, seed=3, max_cases=40)
     assert report.passed
