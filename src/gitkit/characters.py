@@ -17,6 +17,7 @@ from .lie import (
     GitkitError,
     Weight,
     is_dominant,
+    is_int_list,
     rho,
     wadd,
     wsub,
@@ -139,10 +140,15 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(arr, rank: int | None = None) -> "LaurentPoly":
+        if not isinstance(arr, list) or not all(
+                isinstance(item, dict) and is_int_list(item.get("w"))
+                and type(item.get("c")) is int for item in arr):
+            raise GitkitError("bad_input", "a Laurent polynomial must be a list of terms, "
+                              "each an object with an integer list w and an integer c", {})
         terms = {}
         for item in arr:
-            w = tuple(int(x) for x in item["w"])
-            terms[w] = terms.get(w, 0) + int(item["c"])
+            w = tuple(item["w"])
+            terms[w] = terms.get(w, 0) + item["c"]
         if rank is None:
             if not terms:
                 raise GitkitError("bad_input", "rank required for an empty polynomial", {})

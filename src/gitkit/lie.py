@@ -64,6 +64,11 @@ def weight_from_json(arr) -> Weight:
     return tuple(parse_rat(c) for c in arr)
 
 
+def is_int_list(x) -> bool:
+    """A list of ints, as JSON integers parse; booleans and floats excluded."""
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def weight_to_json(w: Weight) -> list:
     return [fmt_rat(c) for c in w]
 

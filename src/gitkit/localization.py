@@ -25,8 +25,8 @@ from .lie import (
     GitkitError,
     Weight,
     fmt_rat,
+    is_int_list,
     parse_rat,
-    primitive_integer,
     rat,
     rho,
     wadd,
@@ -34,7 +34,7 @@ from .lie import (
     weight,
     wsub,
 )
-from .polytopes import Polytope, _det, hull
+from .polytopes import Polytope, _frame_index, hull
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,15 @@ class ConeSeries:
             raise GitkitError("bad_input", "a series must be a list of terms, each an "
                               "object with keys num, den and dir", {})
         terms = []
-        for item in arr:
-            num = LaurentPoly.from_json(item["num"], rank=len(item["dir"]))
-            terms.append(Term(num, tuple(tuple(int(x) for x in b) for b in item["den"]),
-                              tuple(parse_rat(x) for x in item["dir"])))
+        for i, item in enumerate(arr):
+            den, xi = item["den"], item["dir"]
+            if not (isinstance(den, list) and all(is_int_list(b) for b in den)
+                    and isinstance(xi, list)):
+                raise GitkitError("bad_input", "a term needs den, a list of integer exponent "
+                                  "lists, and dir, a list of rationals", {"term": i})
+            num = LaurentPoly.from_json(item["num"], rank=len(xi))
+            terms.append(Term(num, tuple(tuple(b) for b in den),
+                              tuple(parse_rat(x) for x in xi)))
         return ConeSeries(tuple(terms))
 
 
@@ -208,25 +213,6 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
     return LaurentPoly(r, out)
 
 
-def _edge_directions(p: Polytope) -> dict:
-    dirs: dict = {v: [] for v in p.vertices}
-    for u, v in p.edges():
-        dirs[u].append(primitive_integer(wsub(v, u)))
-        dirs[v].append(primitive_integer(wsub(u, v)))
-    return dirs
-
-
-def _minor_gcd(rows, r: int) -> int:
-    from math import gcd
-
-    d = len(rows)
-    g = 0
-    for cols in itertools.combinations(range(r), d):
-        sub = [[Fraction(row[c]) for c in cols] for row in rows]
-        g = gcd(g, abs(int(_det(sub))))
-    return g
-
-
 def _generic_direction(r: int, edge_dirs) -> tuple:
     for k in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         xi = tuple(Fraction(k ** i) for i in range(r))
@@ -255,20 +241,15 @@ def vertex_sum(p: Polytope) -> ConeSeries:
         v = p.vertices[0]
         xi = tuple(Fraction(1) for _ in range(r))
         return ConeSeries((Term(LaurentPoly.monomial(tuple(int(x) for x in v), 1), (), xi),))
-    dirs = _edge_directions(p)
+    dirs = p.edge_frames()
     for v, es in dirs.items():
         if len(es) != d:
             raise GitkitError("not_smooth", "vertex does not have dim-many edges",
                               {"vertex": [fmt_rat(x) for x in v], "edges": len(es)})
-        if d == r:
-            det = _det([[Fraction(x) for x in e] for e in es])
-            if abs(det) != 1:
-                raise GitkitError("not_smooth", "edge frame is not unimodular",
-                                  {"vertex": [fmt_rat(x) for x in v]})
-        else:
-            if _minor_gcd(es, r) != 1:
-                raise GitkitError("not_smooth", "edge frame is not unimodular in its span",
-                                  {"vertex": [fmt_rat(x) for x in v]})
+        if _frame_index(es) != 1:
+            span = "" if d == r else " in its span"
+            raise GitkitError("not_smooth", "edge frame is not unimodular" + span,
+                              {"vertex": [fmt_rat(x) for x in v]})
     all_dirs = sorted({e for es in dirs.values() for e in es})
     xi = _generic_direction(r, all_dirs)
     terms = []

@@ -1,10 +1,15 @@
-"""Exact rational convex polytopes, small-dimensional, by brute enumeration.
+"""Exact rational convex polytopes, small-dimensional.
 
 A polytope is stored as both vertices and an irredundant H-description:
 inward facet normals (primitive integer, <n,x> >= off) plus affine-hull
-equations (<n,x> = off).  All arithmetic is over Fraction; nothing here is
-floating point.  Intended scale is rank <= 4 with a handful of vertices, so
-candidate facets are enumerated straight from point subsets.
+equations (<n,x> = off).  Nothing here is floating point.  `hull` finds the
+affine hull once with a Fraction row reduction, then works in integers: the
+points are scaled by the lcm of their denominators and projected onto the
+pivot coordinates, each d-subset gives a candidate normal as an integer
+generalized cross product, and each distinct hyperplane is tested against
+all points and lifted back to a facet normal once.  Ranks and determinants
+come from one fraction-free (Bareiss) elimination.  Intended scale is rank
+<= 4 with a few dozen points.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 
 from .lie import (
     GitkitError,
@@ -61,8 +66,38 @@ def _rref(rows: list[list[Fraction]]):
     return m[:r], pivots
 
 
-def _rank(rows) -> int:
-    return len(_rref(rows)[0])
+def _bareiss(rows) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so no Fraction is made.  The
+    determinant is 0 unless the matrix is square of full rank; an empty
+    matrix has determinant 1."""
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank, (sign * prev if rank == len(m) == ncols else 0)
+
+
+def _frame_index(rows) -> int:
+    """gcd of the maximal minors of integer rows (|det| for a square frame):
+    1 exactly when the rows are a lattice basis of their span."""
+    g = 0
+    for cols in itertools.combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, _bareiss([[row[c] for c in cols] for row in rows])[1])
+    return g
 
 
 def _nullspace(rows, n: int) -> list[list[Fraction]]:
@@ -117,15 +152,22 @@ class Polytope:
     def edges(self) -> list[tuple[Weight, Weight]]:
         """Vertex pairs whose minimal common face is one-dimensional."""
         r = self.rank
-        eq_rows = [list(map(Fraction, n)) for n, _ in self.equations]
+        eq_rows = [n for n, _ in self.equations]
         out = []
         act = {v: set(self.active_facets(v)) for v in self.vertices}
         for u, v in itertools.combinations(self.vertices, 2):
             shared = act[u] & act[v]
-            rows = eq_rows + [list(map(Fraction, self.facets[i][0])) for i in shared]
-            if _rank(rows) == r - 1:
+            if _bareiss(eq_rows + [self.facets[i][0] for i in shared])[0] == r - 1:
                 out.append((u, v))
         return out
+
+    def edge_frames(self) -> dict:
+        """Primitive integer directions of the edges leaving each vertex."""
+        frames: dict = {v: [] for v in self.vertices}
+        for u, v in self.edges():
+            frames[u].append(primitive_integer(wsub(v, u)))
+            frames[v].append(primitive_integer(wsub(u, v)))
+        return frames
 
     def faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
         """All nonempty faces, the polytope itself included.
@@ -147,14 +189,14 @@ class Polytope:
         if len(self.vertices) == 1:
             sets = {frozenset()}
         out = {}
-        eq_rows = [list(map(Fraction, n)) for n, _ in self.equations]
+        eq_rows = [n for n, _ in self.equations]
         for s in sets:
             verts = tuple(sorted(v for v in self.vertices if s <= act[v]))
             full = frozenset.intersection(*[act[v] for v in verts]) if verts else s
             if verts in out:
                 continue
-            rows = eq_rows + [list(map(Fraction, self.facets[i][0])) for i in full]
-            out[verts] = (r - _rank(rows), verts, tuple(sorted(full)))
+            rank = _bareiss(eq_rows + [self.facets[i][0] for i in full])[0]
+            out[verts] = (r - rank, verts, tuple(sorted(full)))
         return sorted(out.values())
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
@@ -189,7 +231,7 @@ def hull(points) -> Polytope:
 
     p0 = pts[0]
     diffs = [list(map(Fraction, wsub(p, p0))) for p in pts[1:]]
-    basis_red, _ = _rref(diffs)
+    basis_red, pivots = _rref(diffs)
     d = len(basis_red)
 
     equations = []
@@ -199,43 +241,50 @@ def hull(points) -> Polytope:
         equations.append((n, rat(wdot(n, p0))))
     equations = tuple(sorted(equations))
 
+    # Integer points in the pivot coordinates, a full-dimensional set in Z^d.
+    # A linear form m on Z^d is the form <n, .> on the direction space for
+    # n = (G^-1 B)^T m, with B the reduced basis and G = B B^T; `lift` is
+    # G^-1 B scaled to integers (the identity when d = r).
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    proj = [tuple(int(p[c] * scale) for c in pivots) for p in pts]
+    lift = None
+    if 0 < d < r:
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in basis_red] for u in basis_red]
+        solved = [row[d:] for row in _rref([g + b for g, b in zip(gram, basis_red)])[0]]
+        den = lcm(*(x.denominator for row in solved for x in row))
+        lift = [[int(x * den) for x in row] for row in solved]
+
     facets = {}
-    if d >= 1:
-        for idx in itertools.combinations(range(len(pts)), d):
-            base = pts[idx[0]]
-            vecs = [list(map(Fraction, wsub(pts[i], base))) for i in idx[1:]]
-            if _rank(vecs) != d - 1:
+    seen = set()
+    inward = []         # (inward normal m, level): <m, q> >= level on proj
+    for idx in itertools.combinations(range(len(pts)), d) if d else ():
+        base = proj[idx[0]]
+        vecs = [[a - b for a, b in zip(proj[i], base)] for i in idx[1:]]
+        m = [(-1) ** k * _bareiss([v[:k] + v[k + 1:] for v in vecs])[1] for k in range(d)]
+        g = gcd(*m)
+        if g == 0:
+            continue
+        if next(x for x in m if x) < 0:
+            g = -g
+        m = tuple(x // g for x in m)
+        level = sum(a * b for a, b in zip(m, base))
+        if (m, level) in seen:
+            continue
+        seen.add((m, level))
+        vals = [sum(a * b for a, b in zip(m, q)) for q in proj]
+        if min(vals) < level:
+            if max(vals) > level:
                 continue
-            # normal lives in the affine direction space and kills every vec
-            m = [[sum(Fraction(v[k]) * basis_red[b][k] for k in range(r)) for b in range(d)]
-                 for v in vecs]
-            null = _nullspace(m, d)
-            if len(null) != 1:
-                continue
-            c = null[0]
-            n_rat = [sum(c[b] * basis_red[b][k] for b in range(d)) for k in range(r)]
-            n = primitive_integer(n_rat)
-            off = wdot(n, base)
-            vals = [wdot(n, p) - off for p in pts]
-            if all(v >= 0 for v in vals):
-                facets[n] = rat(off)
-            elif all(v <= 0 for v in vals):
-                nn = tuple(-x for x in n)
-                facets[nn] = rat(-off)
+            m, level = tuple(-x for x in m), -level
+        inward.append((m, level))
+        n = m if lift is None else primitive_integer(
+            [sum(mb * row[j] for mb, row in zip(m, lift)) for j in range(r)])
+        facets[n] = wdot(n, pts[idx[0]])
     facet_list = tuple(sorted(facets.items()))
 
-    eq_rows = [list(map(Fraction, n)) for n, _ in equations]
-    verts = []
-    for p in pts:
-        rows = list(eq_rows)
-        for n, off in facet_list:
-            if wdot(n, p) == off:
-                rows.append(list(map(Fraction, n)))
-        if _rank(rows) == r:
-            verts.append(p)
-    if not verts:
-        # dimension 0: the single point is the whole polytope
-        verts = list(pts)
+    verts = [p for p, q in zip(pts, proj)
+             if _bareiss([m for m, level in inward
+                          if sum(a * b for a, b in zip(m, q)) == level])[0] == d]
     return Polytope(tuple(sorted(verts)), facet_list, equations, d)
 
 
@@ -263,30 +312,6 @@ def lattice_points(p: Polytope) -> list[Weight]:
     return sorted(out)
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 @dataclass(frozen=True)
 class DelzantReport:
     ok: bool
@@ -303,20 +328,15 @@ def is_delzant(p: Polytope) -> DelzantReport:
     if p.dim != r:
         raise GitkitError("not_full_dim", "Delzant test needs a full-dimensional polytope",
                           {"dim": p.dim, "rank": r})
-    edge_map: dict = {v: [] for v in p.vertices}
-    edges = p.edges()
-    for u, v in edges:
-        edge_map[u].append(primitive_integer(wsub(v, u)))
-        edge_map[v].append(primitive_integer(wsub(u, v)))
+    frames = p.edge_frames()
     for v in p.vertices:  # vertices are stored lex sorted
         if any(Fraction(x).denominator != 1 for x in v):
             return DelzantReport(False, v, "non-integer vertex")
-        dirs = sorted(edge_map[v])
+        dirs = sorted(frames[v])
         if len(dirs) != r:
             return DelzantReport(False, v, f"{len(dirs)} edges at a rank-{r} vertex")
-        det = _det([list(map(Fraction, d)) for d in dirs])
-        if abs(det) != 1:
-            return DelzantReport(False, v, f"edge frame determinant {det}")
+        if _frame_index(dirs) != 1:
+            return DelzantReport(False, v, f"edge frame determinant {_bareiss(dirs)[1]}")
     return DelzantReport(True, None, "")
 
 

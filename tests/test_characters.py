@@ -86,6 +86,23 @@ def test_poly_json_roundtrip():
     assert LaurentPoly.from_json(LaurentPoly.zero(3).to_json(), 3).is_zero()
 
 
+@pytest.mark.parametrize("arr", [
+    5,
+    [5],
+    [{"w": [1, "2"], "c": 1}],
+    [{"w": [1, 2.0], "c": 1}],
+    [{"w": (1, 2), "c": 1}],
+    [{"w": [1, 2], "c": 2.5}],
+    [{"w": [1, 2], "c": "3"}],
+    [{"w": [1, 2], "c": True}],
+    [{"w": [1, 2]}],
+])
+def test_poly_from_json_rejects_bad_terms(arr):
+    with pytest.raises(GitkitError) as exc:
+        LaurentPoly.from_json(arr, 2)
+    assert exc.value.code == "bad_input"
+
+
 small_polys = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     st.integers(-5, 5), max_size=4,

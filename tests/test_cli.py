@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gitkit import polytopes
+from gitkit import localization, polytopes
 from gitkit.cli import REGISTRY, build_parser, main
 from gitkit.localization import vertex_sum
 
@@ -198,8 +198,19 @@ def test_missing_infile_exits_one(tmp_path, capsys):
     (["localize", "eval", "--point", "2"], {"series": 5}),
     (["localize", "eval", "--point", "2"], {}),
     (["stability", "classify"], {"weights": [1, 2]}),
+    (["localize", "eval", "--point", "2"], [{"num": 5, "den": [], "dir": ["1"]}]),
+    (["localize", "eval", "--point", "2"],
+     [{"num": [{"w": ["1"], "c": 1}], "den": [], "dir": ["1"]}]),
+    (["localize", "eval", "--point", "2"],
+     [{"num": [{"w": [1], "c": 2.5}], "den": [], "dir": ["1"]}]),
+    (["localize", "eval", "--point", "2"],
+     [{"num": [{"w": [1], "c": 1}], "den": [[1.5]], "dir": ["-1"]}]),
+    (["localize", "eval", "--point", "2"],
+     [{"num": [{"w": [1], "c": 1}], "den": [], "dir": 1}]),
 ], ids=["product-no-y", "hull-no-vertices", "classify-list", "eval-series-int",
-        "eval-empty-object", "classify-int-weights"])
+        "eval-empty-object", "classify-int-weights", "eval-term-num-int",
+        "eval-term-w-string", "eval-term-c-float", "eval-term-den-float",
+        "eval-term-dir-int"])
 def test_malformed_infile_is_bad_input(argv, content, tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(content))
@@ -214,10 +225,14 @@ def test_product_without_infile_is_bad_input(capsys):
     assert json.loads(err)["code"] == "bad_input"
 
 
-def test_unchecked_input_error_reports_internal(tmp_path, capsys):
-    # a term whose numerator is not a list passes the shape check of the series
+def test_unchecked_input_error_reports_internal(tmp_path, capsys, monkeypatch):
+    # a library call that fails past every input check ends in one JSON error
+    def broken(series, point):
+        raise TypeError("unchecked")
+
+    monkeypatch.setattr(localization, "evaluate", broken)
     path = tmp_path / "series.json"
-    path.write_text(json.dumps([{"num": 5, "den": [], "dir": ["1"]}]))
+    path.write_text(json.dumps(vertex_sum(polytopes.hull([(0,), (2,)])).to_json()))
     code, out, err = run(["localize", "eval", "--in", str(path), "--point", "2"], capsys)
     assert (code, out) == (1, "")
     obj = json.loads(err)

@@ -77,6 +77,20 @@ def test_series_json_roundtrip():
     assert evaluate(back, ("5",)) == evaluate(s, ("5",))
 
 
+@pytest.mark.parametrize("arr", [
+    [{"num": 5, "den": [], "dir": ["1"]}],
+    [{"num": [{"w": [1], "c": 1}], "den": [[1.5]], "dir": ["-1"]}],
+    [{"num": [{"w": [1], "c": 1}], "den": [["-1"]], "dir": ["1"]}],
+    [{"num": [{"w": [1], "c": 1}], "den": [[True]], "dir": ["-1"]}],
+    [{"num": [{"w": [1], "c": 1}], "den": 1, "dir": ["1"]}],
+    [{"num": [{"w": [1], "c": 1}], "den": [], "dir": 1}],
+])
+def test_series_from_json_rejects_bad_terms(arr):
+    with pytest.raises(GitkitError) as exc:
+        ConeSeries.from_json(arr)
+    assert exc.value.code == "bad_input"
+
+
 def test_evaluate_pinned_values():
     s = vertex_sum(hull([(0,), (2,)]))
     assert evaluate(s, ("2",)) == 7
@@ -226,6 +240,20 @@ def test_vertex_sum_rejects_non_simple_vertex():
     with pytest.raises(GitkitError) as exc:
         vertex_sum(pyramid)
     assert exc.value.code == "not_smooth"
+
+
+@pytest.mark.parametrize("pts, message, context", [
+    ([(0, 0), (2, 0), (0, 1)], "edge frame is not unimodular", {"vertex": ["0", "1"]}),
+    ([(0, 0, 0), (2, 0, 0), (0, 1, 0)], "edge frame is not unimodular in its span",
+     {"vertex": ["0", "1", "0"]}),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+     "vertex does not have dim-many edges", {"vertex": ["0", "0", "1"], "edges": 4}),
+])
+def test_vertex_sum_not_smooth_reports(pts, message, context):
+    with pytest.raises(GitkitError) as exc:
+        vertex_sum(hull(pts))
+    assert (exc.value.code, exc.value.message, exc.value.context) == (
+        "not_smooth", message, context)
 
 
 def test_blowup_sections_pinned():

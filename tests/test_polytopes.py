@@ -1,14 +1,26 @@
 """Exact polytope geometry: hulls, faces, cuts, fans, and the signed
 tangent-cone identity."""
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitkit.lie import GitkitError
+from gitkit.lie import (
+    GitkitError,
+    primitive_integer,
+    rat,
+    wdot,
+    weight,
+    weyl_orbit,
+    wsub,
+)
 from gitkit.polytopes import (
     Polytope,
+    _bareiss,
+    _frame_index,
     brianchon_gram_check,
     hull,
     is_delzant,
@@ -182,6 +194,19 @@ def test_delzant_rejects_bad_vertex():
     assert rep3.failing_vertex is not None
 
 
+@pytest.mark.parametrize("pts, vertex, reason", [
+    ([(0, 0), (2, 0), (0, 1)], (0, 1), "edge frame determinant 2"),
+    ([(0, 0), (1, 0), (0, 2)], (1, 0), "edge frame determinant -2"),
+    ([(0, 0), (2, 1), (1, 2)], (0, 0), "edge frame determinant -3"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2)], (0, 1, 0), "edge frame determinant -2"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], (0, 0, 1),
+     "4 edges at a rank-3 vertex"),
+])
+def test_delzant_reasons_pinned(pts, vertex, reason):
+    rep = is_delzant(hull(pts))
+    assert (rep.ok, rep.failing_vertex, rep.reason) == (False, vertex, reason)
+
+
 def test_delzant_rejects_rational_vertex():
     rep = is_delzant(hull([(0, 0), (1, 0), (0, Fraction(1, 2))]))
     assert not rep.ok
@@ -285,3 +310,198 @@ def test_cut_is_intersection_property(pts):
         assert all(Fraction(v[0]) >= 0 for v in h.vertices)
     else:
         assert all(Fraction(v[0]) < 0 for v in h.vertices)
+
+
+# ------------------------------------------- integer hull vs the Fraction hull
+#
+# The Fraction hull below is the previous implementation of `hull`, kept
+# verbatim (with its helpers renamed) as the reference: the integer kernel
+# must give the same polytope, byte for byte.
+
+def _ref_rref(rows):
+    m = [list(map(Fraction, row)) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _ref_rank(rows):
+    return len(_ref_rref(rows)[0])
+
+
+def _ref_nullspace(rows, n):
+    red, pivots = _ref_rref(rows)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _ref_sign_canonical(n, off):
+    for x in n:
+        if x != 0:
+            if x < 0:
+                return tuple(-y for y in n), -Fraction(off)
+            break
+    return n, Fraction(off)
+
+
+def _reference_hull(points):
+    pts = sorted({weight(p) for p in points})
+    if not pts:
+        raise GitkitError("empty_hull", "convex hull of no points", {})
+    r = len(pts[0])
+    if any(len(p) != r for p in pts):
+        raise GitkitError("rank_mismatch", "hull points have mixed lengths", {})
+
+    p0 = pts[0]
+    diffs = [list(map(Fraction, wsub(p, p0))) for p in pts[1:]]
+    basis_red, _ = _ref_rref(diffs)
+    d = len(basis_red)
+
+    equations = []
+    for u in _ref_nullspace(basis_red, r):
+        n = primitive_integer(u)
+        n, _ = _ref_sign_canonical(n, 0)
+        equations.append((n, rat(wdot(n, p0))))
+    equations = tuple(sorted(equations))
+
+    facets = {}
+    if d >= 1:
+        for idx in itertools.combinations(range(len(pts)), d):
+            base = pts[idx[0]]
+            vecs = [list(map(Fraction, wsub(pts[i], base))) for i in idx[1:]]
+            if _ref_rank(vecs) != d - 1:
+                continue
+            # normal lives in the affine direction space and kills every vec
+            m = [[sum(Fraction(v[k]) * basis_red[b][k] for k in range(r)) for b in range(d)]
+                 for v in vecs]
+            null = _ref_nullspace(m, d)
+            if len(null) != 1:
+                continue
+            c = null[0]
+            n_rat = [sum(c[b] * basis_red[b][k] for b in range(d)) for k in range(r)]
+            n = primitive_integer(n_rat)
+            off = wdot(n, base)
+            vals = [wdot(n, p) - off for p in pts]
+            if all(v >= 0 for v in vals):
+                facets[n] = rat(off)
+            elif all(v <= 0 for v in vals):
+                nn = tuple(-x for x in n)
+                facets[nn] = rat(-off)
+    facet_list = tuple(sorted(facets.items()))
+
+    eq_rows = [list(map(Fraction, n)) for n, _ in equations]
+    verts = []
+    for p in pts:
+        rows = list(eq_rows)
+        for n, off in facet_list:
+            if wdot(n, p) == off:
+                rows.append(list(map(Fraction, n)))
+        if _ref_rank(rows) == r:
+            verts.append(p)
+    if not verts:
+        # dimension 0: the single point is the whole polytope
+        verts = list(pts)
+    return Polytope(tuple(sorted(verts)), facet_list, equations, d)
+
+
+def _assert_same_hull(pts):
+    got, want = hull(pts), _reference_hull(pts)
+    assert repr(got) == repr(want), pts
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json()), pts
+
+
+_COORD = st.one_of(st.integers(-6, 6),
+                   st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+
+
+@st.composite
+def _point_sets(draw):
+    """Points of rank 1-4: general position, on a random affine line or
+    plane, or a single point; some of them repeated."""
+    r = draw(st.integers(1, 4))
+    vec = st.tuples(*[_COORD] * r)
+    kind = draw(st.sampled_from(["general", "line", "plane", "single"]))
+    if kind == "single":
+        pts = [draw(vec)]
+    elif kind == "general":
+        pts = draw(st.lists(vec, min_size=1, max_size=8))
+    else:
+        base = draw(vec)
+        gens = [draw(vec) for _ in range(1 if kind == "line" else 2)]
+        coeffs = draw(st.lists(st.tuples(*[_COORD] * len(gens)), min_size=1, max_size=7))
+        pts = [tuple(b + sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base))
+               for cs in coeffs]
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))]
+    return pts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_point_sets())
+def test_hull_matches_fraction_reference(pts):
+    _assert_same_hull(pts)
+
+
+def test_hull_matches_fraction_reference_on_kostant_orbits():
+    # every orbit of c10: rank 1-4, highest weight entries 0-5
+    for r in range(1, 5):
+        for lam in itertools.product(range(5, -1, -1), repeat=r):
+            if all(lam[i] >= lam[i + 1] for i in range(r - 1)):
+                _assert_same_hull(weyl_orbit(lam, r))
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        prod = 1
+        for i in range(n):
+            prod *= rows[i][perm[i]]
+        total += sign * prod
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-3, 3), min_size=c, max_size=c), max_size=4)))
+def test_bareiss_rank_and_det(rows):
+    rank, det = _bareiss(rows)
+    assert rank == _ref_rank(rows)
+    ncols = len(rows[0]) if rows else 0
+    assert det == (_leibniz(rows) if len(rows) == ncols else 0)
+
+
+def test_frame_index():
+    assert _frame_index([(1, 0), (0, 1)]) == 1
+    assert _frame_index([(1, 1), (1, -1)]) == 2
+    assert _frame_index([(1, 1, 0), (0, 1, 1)]) == 1
+    assert _frame_index([(2, 0, 0), (0, 2, 2)]) == 4
