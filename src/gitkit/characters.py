@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .lie import (
     GitkitError,
@@ -267,6 +268,7 @@ def weyl_character(lam: Weight) -> LaurentPoly:
         raise GitkitError("internal", "character dimension mismatch",
                           {"weight": weight_to_json(lam), "expected": dim,
                            "got": poly.total_coeff_sum()})
+    poly.terms = MappingProxyType(poly.terms)   # read-only: the cache shares it
     _WC_CACHE[lam] = poly
     return poly
 

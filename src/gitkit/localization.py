@@ -17,6 +17,7 @@ which is precisely what the circle-action identities exercise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,9 +181,21 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
     """Sum of the per-term power-series expansions, truncated to an exponent box.
 
     Each term expands every factor 1/(1 - t^b) as a geometric series in its
-    own direction; monomials whose pairing drops below the box minimum are
-    pruned, which loses nothing inside the box because every further factor
-    only decreases the pairing."""
+    own direction xi: a walk v, v+b, v+2b, ...  Three rules cut the walks, and
+    each drops only monomials that can no longer reach the box:
+
+     * integer pairing: xi and the box minimum of the pairing are scaled to
+       integers by the lcm of xi's denominators.  A walk stops below that
+       minimum, since every further factor only lowers the pairing.
+     * per-stage bounds: before factor j, a coordinate that all of den[j:]
+       move only down (b[i] <= 0) must be >= its box low, and one they move
+       only up (b[i] >= 0) <= its box high.  Monomials that fail are not
+       stored.  After the last factor the bounds are the box: no final filter.
+     * early break: a walk stops once b has moved a coordinate past a box
+       side that no later factor moves back.  Steps short of a side that b
+       moves toward are not stored, and the walk goes on.
+
+    The kept steps of a walk are thus a range k_lo..k_hi, found by floor division."""
     r = series.rank
     box = [(int(lo), int(hi)) for lo, hi in box]
     if len(box) != r:
@@ -192,24 +205,34 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
         raise GitkitError("bad_box", "box bounds must satisfy lo <= hi", {})
     out: dict = {}
     for t in series.terms:
-        xi = t.dir
-        minval = sum(min(Fraction(xi[i]) * lo, Fraction(xi[i]) * hi)
-                     for i, (lo, hi) in enumerate(box))
-        cur = {w: c for w, c in t.num.terms.items() if wdot(w, xi) >= minval}
-        for b in t.den:
-            step = wdot(b, xi)   # strictly negative
+        scale = math.lcm(*(Fraction(x).denominator for x in t.dir))
+        xi = tuple(int(x * scale) for x in t.dir)
+        minval = sum(min(x * lo, x * hi) for x, (lo, hi) in zip(xi, box))
+        # stages[j]: the (i, s, m) with s * v[i] >= m required before factor j
+        stages = [[(i, s, s * side) for i, (lo, hi) in enumerate(box)
+                   for s, side in ((1, lo), (-1, hi))
+                   if all(s * b[i] <= 0 for b in t.den[j:])]
+                  for j in range(len(t.den) + 1)]
+        cur = {w: c for w, c in t.num.terms.items()
+               if sum(x * y for x, y in zip(w, xi)) >= minval
+               and all(s * w[i] >= m for i, s, m in stages[0])}
+        for b, bounds in zip(t.den, stages[1:]):
+            step = sum(x * y for x, y in zip(b, xi))   # strictly negative
             nxt: dict = {}
             for w, c in cur.items():
-                v = w
-                pv = wdot(v, xi)
-                while pv >= minval:
+                k_lo, k_hi = 0, (minval - sum(x * y for x, y in zip(w, xi))) // step
+                for i, s, m in bounds:   # a == 0: w met this bound at stage j
+                    a = s * b[i]
+                    if a > 0:    # b moves toward the side: skip the steps short of it
+                        k_lo = max(k_lo, -((s * w[i] - m) // a))
+                    elif a < 0:  # b moves away from it: the early break
+                        k_hi = min(k_hi, (m - s * w[i]) // a)
+                for k in range(k_lo, k_hi + 1):
+                    v = tuple(x + k * y for x, y in zip(w, b))
                     nxt[v] = nxt.get(v, 0) + c
-                    v = wadd(v, b)
-                    pv += step
             cur = nxt
         for w, c in cur.items():
-            if all(lo <= w[i] <= hi for i, (lo, hi) in enumerate(box)):
-                out[w] = out.get(w, 0) + c
+            out[w] = out.get(w, 0) + c
     return LaurentPoly(r, out)
 
 
@@ -333,6 +356,9 @@ def blowup_chi(d: int, e: int) -> tuple[ConeSeries, BlowupReport]:
     weights; for d >= e >= 0 the positive part fills the lattice trapezoid
     e <= x + y <= d in the first quadrant."""
     d, e = int(d), int(e)
+    if abs(d) > 200 or abs(e) > 200:
+        raise GitkitError("bad_input", "d and e must be between -200 and 200",
+                          {"d": d, "e": e})
     xi = (Fraction(-1), Fraction(-2))
     terms = (
         Term(LaurentPoly.monomial((e, 0), 1), ((1, 0), (-1, 1)), xi),

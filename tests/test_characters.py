@@ -257,3 +257,10 @@ def test_bwb_rank3():
     deg, dom = out
     assert deg == 2
     assert dom == (-1, -1, -1)
+
+
+def test_cached_character_is_read_only():
+    with pytest.raises(TypeError):
+        weyl_character((1, 0)).terms[(9, 9)] = 5
+    assert weyl_character((1, 0)).terms == {(1, 0): 1, (0, 1): 1}
+    assert weyl_character((1, 0)).to_json() == [{"w": [0, 1], "c": 1}, {"w": [1, 0], "c": 1}]

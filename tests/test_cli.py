@@ -184,6 +184,15 @@ def test_domain_error_exits_one_with_json_stderr(capsys):
     assert obj["code"] == "not_dominant"
 
 
+def test_blowup_degree_cap_exits_one(capsys):
+    code, out, err = run(["localize", "blowup", "--d", "100000", "--e", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"code": "bad_input",
+                               "message": "d and e must be between -200 and 200",
+                               "context": {"d": 100000, "e": 0}}
+
+
 def test_missing_infile_exits_one(tmp_path, capsys):
     code, _, err = run(["polytope", "lattice", "--in", str(tmp_path / "no.json")],
                        capsys)

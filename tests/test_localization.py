@@ -1,11 +1,14 @@
 """Tests for fixed-point cone series: rational identities vs box expansions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gitkit import localization
 from gitkit.characters import LaurentPoly, weyl_character
-from gitkit.lie import GitkitError
+from gitkit.lie import GitkitError, wadd, wdot
 from gitkit.localization import (
     ConeSeries,
     Term,
@@ -301,3 +304,123 @@ def test_weyl_series_input_checks():
     with pytest.raises(GitkitError) as exc:
         weyl_via_localization((1, 0, 0, 0, 0))
     assert exc.value.code == "rank_too_large"
+
+
+def test_blowup_rejects_large_degrees():
+    for d, e in ((201, 0), (0, -201), (100000, 0)):
+        with pytest.raises(GitkitError) as exc:
+            blowup_chi(d, e)
+        assert (exc.value.code, exc.value.context) == ("bad_input", {"d": d, "e": e})
+    _, rep = blowup_chi(200, 200)
+    assert rep.chi == 1 + (200 * 203 - 200 * 201) // 2
+
+
+def _reference_expand_in_box(series, box):
+    """expand_in_box as it was before its walks were cut to the box: every
+    walk runs down to the box minimum of the pairing, and the box filter
+    comes last."""
+    r = series.rank
+    box = [(int(lo), int(hi)) for lo, hi in box]
+    if len(box) != r:
+        raise GitkitError("rank_mismatch", "box length does not match rank",
+                          {"rank": r, "box": len(box)})
+    if any(lo > hi for lo, hi in box):
+        raise GitkitError("bad_box", "box bounds must satisfy lo <= hi", {})
+    out: dict = {}
+    for t in series.terms:
+        xi = t.dir
+        minval = sum(min(Fraction(xi[i]) * lo, Fraction(xi[i]) * hi)
+                     for i, (lo, hi) in enumerate(box))
+        cur = {w: c for w, c in t.num.terms.items() if wdot(w, xi) >= minval}
+        for b in t.den:
+            step = wdot(b, xi)   # strictly negative
+            nxt: dict = {}
+            for w, c in cur.items():
+                v = w
+                pv = wdot(v, xi)
+                while pv >= minval:
+                    nxt[v] = nxt.get(v, 0) + c
+                    v = wadd(v, b)
+                    pv += step
+            cur = nxt
+        for w, c in cur.items():
+            if all(lo <= w[i] <= hi for i, (lo, hi) in enumerate(box)):
+                out[w] = out.get(w, 0) + c
+    return LaurentPoly(r, out)
+
+
+def _assert_same_expansion(series, box):
+    new, ref = expand_in_box(series, box), _reference_expand_in_box(series, box)
+    assert new == ref
+    assert new.to_json() == ref.to_json()
+    assert list(new.terms.items()) == list(ref.terms.items())   # same insertion order
+    return new
+
+
+@st.composite
+def _series_in_box(draw):
+    """Rank 1-4 series with rational directions, empty and repeated
+    denominators and multi-term numerators, in boxes that may be flat
+    (lo == hi) or reach below zero."""
+    r = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-6, 6)] * r)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        xi = draw(st.tuples(*[st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))] * r))
+        steps = st.tuples(*[st.integers(-3, 3)] * r).filter(lambda b: wdot(b, xi) < 0)
+        den = draw(st.lists(steps, max_size=4)) if any(xi) else []
+        if den:   # repeat some factors
+            den += [den[i] for i in draw(st.lists(st.integers(0, len(den) - 1), max_size=2))]
+        num = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=4))
+        terms.append(Term(LaurentPoly(r, num), tuple(den), xi))
+    box = []
+    for _ in range(r):
+        lo = draw(st.integers(-6, 4))
+        box.append((lo, lo + draw(st.sampled_from([0, 0, 1, 3, 7]))))
+    return ConeSeries(tuple(terms)), tuple(box)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_series_in_box())
+def test_expand_in_box_matches_reference(case):
+    _assert_same_expansion(*case)
+
+
+# the highest weights of the benchmark's polytopes catalog
+_CATALOG = tuple((a, b, 0) for a in range(2, 8) for b in range(a + 1) if (a, b) != (2, 2)) + (
+    (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (2, 0, 0, 0), (2, 1, 0, 0),
+    (2, 2, 0, 0), (2, 1, 1, 0), (3, 1, 0, 0), (2, 2, 1, 0), (3, 1, 1, 0),
+    (4, 1, 0, 0), (3, 2, 0, 0), (3, 2, 1, 0))
+
+# every highest weight of c10: rank 1-4, entries 0-5
+_C10 = tuple(lam for r in range(1, 5) for lam in itertools.product(range(5, -1, -1), repeat=r)
+             if all(lam[i] >= lam[i + 1] for i in range(r - 1)))
+
+
+@pytest.fixture
+def checked_expansion(monkeypatch):
+    """Route every expand_in_box call of the localization module through the
+    comparison with the reference."""
+    monkeypatch.setattr(localization, "expand_in_box", _assert_same_expansion)
+
+
+def test_expand_in_box_matches_reference_on_callers(checked_expansion):
+    for lam in _CATALOG:
+        weyl_via_localization(lam)
+    # the reference takes about 110 s on all of c10 on a 2-vCPU machine,
+    # nearly all of it at rank 4 with lam[0] - lam[3] >= 3, so those weights
+    # are checked against the direct character below
+    for lam in _C10:
+        if len(lam) < 4 or lam[0] - lam[3] <= 2:
+            weyl_via_localization(lam)
+    for d in range(13):
+        for e in range(d + 1):
+            blowup_chi(d, e)
+    for d in range(51):
+        assert p1_kn_identity(d).passed
+
+
+def test_weyl_series_matches_direct_character_on_c10():
+    # the reference's expansion is the direct character on all of c10 too
+    for lam in _C10:
+        assert weyl_via_localization(lam)[1] == weyl_character(lam)
