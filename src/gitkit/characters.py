@@ -238,10 +238,17 @@ def weyl_character(lam: Weight) -> LaurentPoly:
     if r > 6:
         raise GitkitError("rank_too_large", "character expansion supported up to rank 6",
                           {"rank": r})
-    cached = _WC_CACHE.get(lam)
-    if cached is not None:
-        return cached
+    terms = _WC_CACHE.get(lam)
+    if terms is None:
+        terms = _WC_CACHE[lam] = MappingProxyType(_weyl_terms(lam))
+    poly = LaurentPoly.__new__(LaurentPoly)   # a fresh shell over the shared terms
+    poly.rank, poly.terms = r, terms
+    return poly
 
+
+def _weyl_terms(lam: Weight) -> dict:
+    """The terms of weyl_character(lam), computed and verified."""
+    r = len(lam)
     shift = rho(r)
     target = wadd(lam, shift)  # strictly decreasing, so all permutations distinct
     num: dict = {}
@@ -268,9 +275,7 @@ def weyl_character(lam: Weight) -> LaurentPoly:
         raise GitkitError("internal", "character dimension mismatch",
                           {"weight": weight_to_json(lam), "expected": dim,
                            "got": poly.total_coeff_sum()})
-    poly.terms = MappingProxyType(poly.terms)   # read-only: the cache shares it
-    _WC_CACHE[lam] = poly
-    return poly
+    return poly.terms
 
 
 def _decompose(poly: LaurentPoly) -> dict[Weight, int]:

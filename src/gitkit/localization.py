@@ -177,6 +177,9 @@ def rational_eq(s1: ConeSeries, s2: ConeSeries) -> bool:
     return num.is_zero()
 
 
+BOX_POINTS_CAP = 10 ** 6
+
+
 def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
     """Sum of the per-term power-series expansions, truncated to an exponent box.
 
@@ -195,7 +198,8 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
        side that no later factor moves back.  Steps short of a side that b
        moves toward are not stored, and the walk goes on.
 
-    The kept steps of a walk are thus a range k_lo..k_hi, found by floor division."""
+    The kept steps of a walk are thus a range k_lo..k_hi, found by floor division.
+    A box of more than BOX_POINTS_CAP points is refused (too_large)."""
     r = series.rank
     box = [(int(lo), int(hi)) for lo, hi in box]
     if len(box) != r:
@@ -203,6 +207,10 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
                           {"rank": r, "box": len(box)})
     if any(lo > hi for lo, hi in box):
         raise GitkitError("bad_box", "box bounds must satisfy lo <= hi", {})
+    points = math.prod(hi - lo + 1 for lo, hi in box)
+    if points > BOX_POINTS_CAP:
+        raise GitkitError("too_large", f"box expansion capped at {BOX_POINTS_CAP} box points",
+                          {"points": points, "cap": BOX_POINTS_CAP})
     out: dict = {}
     for t in series.terms:
         scale = math.lcm(*(Fraction(x).denominator for x in t.dir))

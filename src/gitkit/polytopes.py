@@ -2,14 +2,14 @@
 
 A polytope is stored as both vertices and an irredundant H-description:
 inward facet normals (primitive integer, <n,x> >= off) plus affine-hull
-equations (<n,x> = off).  Nothing here is floating point.  `hull` finds the
-affine hull once with a Fraction row reduction, then works in integers: the
-points are scaled by the lcm of their denominators and projected onto the
-pivot coordinates, each d-subset gives a candidate normal as an integer
-generalized cross product, and each distinct hyperplane is tested against
-all points and lifted back to a facet normal once.  Ranks and determinants
-come from one fraction-free (Bareiss) elimination.  Intended scale is rank
-<= 4 with a few dozen points.
+equations (<n,x> = off).  Nothing here is floating point, and all the
+linear algebra is one fraction-free Gauss-Jordan elimination of integer
+matrices (`_bareiss`).  `hull` scales the points to integers by the lcm of
+their denominators, finds the affine hull from their differences, projects
+the points onto the pivot coordinates, takes each d-subset's candidate
+normal as the kernel of its projected differences, and tests each distinct
+hyperplane against all points before lifting it back to a facet normal
+once.  Intended scale is rank <= 4 with a few dozen points.
 """
 
 from __future__ import annotations
@@ -36,59 +36,47 @@ from .lie import (
 )
 
 
-def _rref(rows: list[list[Fraction]]):
-    """Row reduce in place (on a copy); returns (reduced rows, pivot columns)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def _bareiss(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss
+    1968): every division is exact, so no Fraction is made.
 
-
-def _bareiss(rows) -> tuple[int, int]:
-    """Rank and determinant of an integer matrix by fraction-free elimination
-    (Bareiss 1968): every division is exact, so no Fraction is made.  The
+    Returns (reduced rows, pivot columns, det).  The reduced rows are the
+    reduced row echelon form scaled by one positive integer delta: each pivot
+    entry is delta and each row is zero in the other pivot columns.  The
     determinant is 0 unless the matrix is square of full rank; an empty
     matrix has determinant 1."""
     m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0
-    rank, sign, prev = 0, 1, 1
+    pivots, sign, prev = [], 1, 1
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        top = m[rank]
+        top = m[r]
         p = top[c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
         prev = p
-        rank += 1
-    return rank, (sign * prev if rank == len(m) == ncols else 0)
+        pivots.append(c)
+    rank = len(pivots)
+    red = m[:rank] if prev > 0 else [[-x for x in row] for row in m[:rank]]
+    return red, pivots, (sign * prev if rank == len(m) == ncols else 0)
+
+
+def _kernel(rows, n: int) -> list[list[int]]:
+    """Integer basis of {x in Q^n : rows . x = 0}: per free column fc, delta
+    at fc and -row[fc] at each row's pivot column."""
+    red, pivots, _ = _bareiss(rows)
+    delta = red[0][pivots[0]] if red else 1
+    by_col = dict(zip(pivots, red))
+    return [[delta if c == fc else -by_col[c][fc] if c in by_col else 0 for c in range(n)]
+            for fc in range(n) if fc not in by_col]
 
 
 def _frame_index(rows) -> int:
@@ -96,22 +84,8 @@ def _frame_index(rows) -> int:
     1 exactly when the rows are a lattice basis of their span."""
     g = 0
     for cols in itertools.combinations(range(len(rows[0])), len(rows)):
-        g = gcd(g, _bareiss([[row[c] for c in cols] for row in rows])[1])
+        g = gcd(g, _bareiss([[row[c] for c in cols] for row in rows])[2])
     return g
-
-
-def _nullspace(rows, n: int) -> list[list[Fraction]]:
-    """Basis of {x in Q^n : rows . x = 0}."""
-    red, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _sign_canonical(n: tuple[int, ...], off) -> tuple[tuple[int, ...], Fraction]:
@@ -157,7 +131,7 @@ class Polytope:
         act = {v: set(self.active_facets(v)) for v in self.vertices}
         for u, v in itertools.combinations(self.vertices, 2):
             shared = act[u] & act[v]
-            if _bareiss(eq_rows + [self.facets[i][0] for i in shared])[0] == r - 1:
+            if len(_bareiss(eq_rows + [self.facets[i][0] for i in shared])[1]) == r - 1:
                 out.append((u, v))
         return out
 
@@ -195,7 +169,7 @@ class Polytope:
             full = frozenset.intersection(*[act[v] for v in verts]) if verts else s
             if verts in out:
                 continue
-            rank = _bareiss(eq_rows + [self.facets[i][0] for i in full])[0]
+            rank = len(_bareiss(eq_rows + [self.facets[i][0] for i in full])[1])
             out[verts] = (r - rank, verts, tuple(sorted(full)))
         return sorted(out.values())
 
@@ -229,30 +203,27 @@ def hull(points) -> Polytope:
     if any(len(p) != r for p in pts):
         raise GitkitError("rank_mismatch", "hull points have mixed lengths", {})
 
-    p0 = pts[0]
-    diffs = [list(map(Fraction, wsub(p, p0))) for p in pts[1:]]
-    basis_red, pivots = _rref(diffs)
-    d = len(basis_red)
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [[x.numerator * (scale // x.denominator) for x in p] for p in pts]
+    basis, pivots, _ = _bareiss([[a - b for a, b in zip(q, ipts[0])] for q in ipts[1:]])
+    d = len(pivots)
 
     equations = []
-    for u in _nullspace(basis_red, r):
+    for u in _kernel(basis, r):
         n = primitive_integer(u)
         n, _ = _sign_canonical(n, 0)
-        equations.append((n, rat(wdot(n, p0))))
+        equations.append((n, rat(wdot(n, pts[0]))))
     equations = tuple(sorted(equations))
 
     # Integer points in the pivot coordinates, a full-dimensional set in Z^d.
     # A linear form m on Z^d is the form <n, .> on the direction space for
     # n = (G^-1 B)^T m, with B the reduced basis and G = B B^T; `lift` is
     # G^-1 B scaled to integers (the identity when d = r).
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    proj = [tuple(int(p[c] * scale) for c in pivots) for p in pts]
+    proj = [tuple(q[c] for c in pivots) for q in ipts]
     lift = None
     if 0 < d < r:
-        gram = [[sum(a * b for a, b in zip(u, v)) for v in basis_red] for u in basis_red]
-        solved = [row[d:] for row in _rref([g + b for g, b in zip(gram, basis_red)])[0]]
-        den = lcm(*(x.denominator for row in solved for x in row))
-        lift = [[int(x * den) for x in row] for row in solved]
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+        lift = [row[d:] for row in _bareiss([g + b for g, b in zip(gram, basis)])[0]]
 
     facets = {}
     seen = set()
@@ -260,10 +231,11 @@ def hull(points) -> Polytope:
     for idx in itertools.combinations(range(len(pts)), d) if d else ():
         base = proj[idx[0]]
         vecs = [[a - b for a, b in zip(proj[i], base)] for i in idx[1:]]
-        m = [(-1) ** k * _bareiss([v[:k] + v[k + 1:] for v in vecs])[1] for k in range(d)]
-        g = gcd(*m)
-        if g == 0:
+        ker = _kernel(vecs, d)
+        if len(ker) != 1:
             continue
+        m = ker[0]
+        g = gcd(*m)
         if next(x for x in m if x) < 0:
             g = -g
         m = tuple(x // g for x in m)
@@ -283,8 +255,8 @@ def hull(points) -> Polytope:
     facet_list = tuple(sorted(facets.items()))
 
     verts = [p for p, q in zip(pts, proj)
-             if _bareiss([m for m, level in inward
-                          if sum(a * b for a, b in zip(m, q)) == level])[0] == d]
+             if len(_bareiss([m for m, level in inward
+                              if sum(a * b for a, b in zip(m, q)) == level])[1]) == d]
     return Polytope(tuple(sorted(verts)), facet_list, equations, d)
 
 
@@ -336,7 +308,7 @@ def is_delzant(p: Polytope) -> DelzantReport:
         if len(dirs) != r:
             return DelzantReport(False, v, f"{len(dirs)} edges at a rank-{r} vertex")
         if _frame_index(dirs) != 1:
-            return DelzantReport(False, v, f"edge frame determinant {_bareiss(dirs)[1]}")
+            return DelzantReport(False, v, f"edge frame determinant {_bareiss(dirs)[2]}")
     return DelzantReport(True, None, "")
 
 

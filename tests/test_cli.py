@@ -193,6 +193,16 @@ def test_blowup_degree_cap_exits_one(capsys):
                                "context": {"d": 100000, "e": 0}}
 
 
+def test_box_point_cap_exits_one(capsys):
+    code, out, err = run(["localize", "toric", "--points", "0,0;1,0;0,1",
+                          "--box", "0:100000,0:100000"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"code": "too_large",
+                               "message": "box expansion capped at 1000000 box points",
+                               "context": {"points": 10000200001, "cap": 1000000}}
+
+
 def test_missing_infile_exits_one(tmp_path, capsys):
     code, _, err = run(["polytope", "lattice", "--in", str(tmp_path / "no.json")],
                        capsys)

@@ -179,6 +179,16 @@ def test_expand_in_box_errors():
     assert exc.value.code == "bad_box"
 
 
+def test_expand_in_box_caps_box_points():
+    one = ConeSeries((Term(LaurentPoly.one(2), (), (Fraction(1), Fraction(1))),))
+    # 1000 x 1000 box points: exactly at the cap
+    assert expand_in_box(one, ((-499, 500), (0, 999))) == LaurentPoly.one(2)
+    with pytest.raises(GitkitError) as exc:
+        expand_in_box(one, ((-500, 500), (0, 999)))
+    assert exc.value.code == "too_large"
+    assert exc.value.context == {"points": 1001000, "cap": 1000000}
+
+
 def test_vertex_sum_single_point():
     s = vertex_sum(hull([(1, 2)]))
     assert len(s.terms) == 1 and s.terms[0].den == ()

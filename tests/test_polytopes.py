@@ -494,10 +494,17 @@ def _leibniz(rows):
 @given(st.integers(0, 4).flatmap(lambda c: st.lists(
     st.lists(st.integers(-3, 3), min_size=c, max_size=c), max_size=4)))
 def test_bareiss_rank_and_det(rows):
-    rank, det = _bareiss(rows)
+    red, pivots, det = _bareiss(rows)
+    rank = len(pivots)
     assert rank == _ref_rank(rows)
     ncols = len(rows[0]) if rows else 0
     assert det == (_leibniz(rows) if len(rows) == ncols else 0)
+    ref_red, ref_pivots = _ref_rref(rows)
+    assert pivots == ref_pivots
+    delta = red[0][pivots[0]] if red else 1
+    assert delta > 0
+    assert all(row[c] == delta for row, c in zip(red, pivots))
+    assert [[Fraction(x, delta) for x in row] for row in red] == ref_red
 
 
 def test_frame_index():

@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gitkit.lie import GitkitError
+from gitkit.lie import GitkitError, rat, wadd, wdot, wsub
 from gitkit.stability import (
     HMSlope,
     Polystable,
@@ -34,6 +35,8 @@ from gitkit.stability import (
     proj_point,
     verdict_to_json,
 )
+from gitkit import stability
+from test_polytopes import _ref_rref
 
 
 def unit(v):
@@ -124,6 +127,18 @@ def test_nearest_point_interior_projection():
     # projection lands strictly inside a facet
     p, ns = nearest_point_of_hull([(1, -1), (1, 1), (5, 0)])
     assert p == (1, 0) and ns == 1
+
+
+def test_nearest_point_cache_is_bounded():
+    # classify_stability and then max_destabilizing on one point, as a caller
+    # asking for the verdict and the destabilizer does: the second is a hit
+    x = proj_point([(7, 1), (5, 3), (6, 6)])
+    classify_stability(x)
+    hits = stability._nearest_point.cache_info().hits
+    max_destabilizing(x)
+    info = stability._nearest_point.cache_info()
+    assert info.hits == hits + 1
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_max_destabilizing_matches_classify():
@@ -280,3 +295,61 @@ def test_flow_exact_vs_float_random_supports():
         elif isinstance(verdict, (Stable, Polystable)):
             assert out.outcome == "Converged"
             assert out.residual < 1e-7
+
+
+# ------------------------------- integer Gram solve vs the Fraction Gram solve
+#
+# The Fraction solve below is the previous `_project_origin_affine`, kept
+# verbatim as the reference: the integer solve must give the same projection
+# and the same affine coefficients.
+
+def _reference_project_origin_affine(points):
+    q0 = points[0]
+    vecs = [wsub(q, q0) for q in points[1:]]
+    m = len(vecs)
+    if m == 0:
+        return q0, (Fraction(1),)
+    gram = [[Fraction(wdot(vecs[i], vecs[j])) for j in range(m)] for i in range(m)]
+    rhs = [-Fraction(wdot(vecs[i], q0)) for i in range(m)]
+    # solve gram . a = rhs; singular gram means dependent points
+    aug = [gram[i] + [rhs[i]] for i in range(m)]
+    red, pivots = _ref_rref(aug)
+    if len(pivots) != m or m in pivots:
+        return None
+    a = [red[i][m] for i in range(m)]
+    p = q0
+    for ai, v in zip(a, vecs):
+        p = wadd(p, tuple(rat(ai * Fraction(c)) for c in v))
+    coeffs = (Fraction(1) - sum(a),) + tuple(a)
+    return p, coeffs
+
+
+_COORD = st.one_of(st.integers(-6, 6),
+                   st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+
+
+@st.composite
+def _subsets(draw):
+    """Up to rank + 2 points of rank 1-4: general, on a random affine line or
+    plane (affinely dependent beyond 2 or 3 points), some of them repeated."""
+    r = draw(st.integers(1, 4))
+    vec = st.tuples(*[_COORD] * r)
+    size = draw(st.integers(1, r + 2))
+    kind = draw(st.sampled_from(["general", "line", "plane"]))
+    if kind == "general":
+        pts = [draw(vec) for _ in range(size)]
+    else:
+        base = draw(vec)
+        gens = [draw(vec) for _ in range(1 if kind == "line" else 2)]
+        pts = [tuple(b + sum(c * g[i] for c, g in zip(draw(st.tuples(*[_COORD] * len(gens))),
+                                                      gens))
+                     for i, b in enumerate(base)) for _ in range(size)]
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=1))]
+    return tuple(tuple(rat(x) for x in p) for p in draw(st.permutations(pts)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_subsets())
+def test_project_origin_affine_matches_fraction_reference(pts):
+    got = stability._project_origin_affine(pts)
+    assert repr(got) == repr(_reference_project_origin_affine(pts)), pts
