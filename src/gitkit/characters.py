@@ -10,6 +10,7 @@ than return a rounded answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from types import MappingProxyType
@@ -339,9 +340,6 @@ def invariant_dim(lams: list, group: str = "SL") -> int:
     return total
 
 
-_SU2_INV_CACHE: dict = {}
-
-
 def su2_invariant_dim(labels, scale: int = 1) -> int:
     """Invariant dimension for a tensor product of su(2) irreducibles.
 
@@ -358,11 +356,12 @@ def su2_invariant_dim(labels, scale: int = 1) -> int:
     ells = tuple(sorted(scaled))
     if any(l < 0 for l in ells):
         raise GitkitError("bad_input", "labels must be nonnegative", {"labels": list(ells)})
-    cached = _SU2_INV_CACHE.get(ells)
-    if cached is None:
-        cached = invariant_dim([(l, 0) for l in ells], group="SL")
-        _SU2_INV_CACHE[ells] = cached
-    return cached
+    return _su2_invariant_dim(ells)
+
+
+@functools.lru_cache(maxsize=1024)
+def _su2_invariant_dim(ells: tuple) -> int:
+    return invariant_dim([(l, 0) for l in ells], group="SL")
 
 
 def bwb_cohomology(lam: Weight):

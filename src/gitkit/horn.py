@@ -9,15 +9,21 @@ over rationals.
 The Monte Carlo validator draws Gaussian Hermitian matrices and computes
 spectra with a hand-rolled cyclic Jacobi iteration on the real symmetric
 doubling [[X, -Y], [Y, X]], keeping the check independent of library
-eigensolvers.  All matrices of a run are diagonalized in one lockstep batch:
-each pivot's rotation is one set of elementwise numpy operations over the
-whole stack, and every spectrum is bit-identical to the one the same matrix
-gets alone.
+eigensolvers.  The iteration has two drivers that do the same IEEE
+operations in the same order.  One matrix (`jacobi_eigenvalues`) goes
+through a scalar rotation loop on Python floats.  A stack of matrices
+(`_jacobi_batch`, used by the validator) goes through a lockstep loop: each
+pivot's rotation is one set of elementwise numpy operations over the whole
+stack.  Both give each matrix the bits of a plain per-matrix rotation loop
+on a numpy array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,9 +58,6 @@ class HornSystem:
         }
 
 
-_SYSTEM_CACHE: dict = {}
-
-
 def generate_horn_system(r: int, mode: str = "all-positive") -> HornSystem:
     """All inequality triples for r x r spectra, from scratch via puzzle counts.
 
@@ -62,14 +65,20 @@ def generate_horn_system(r: int, mode: str = "all-positive") -> HornSystem:
     beyond the trace identity).  'all-positive' keeps every triple with a
     positive count; 'irredundant' keeps those with count exactly 1.
     """
-    if r < 2 or r > 6:
+    if not _is_int(r) or r < 2 or r > 6:
         raise GitkitError("bad_rank", "inequality systems supported for 2 <= r <= 6", {"r": r})
     if mode not in ("all-positive", "irredundant"):
         raise GitkitError("bad_mode", "mode must be 'all-positive' or 'irredundant'",
                           {"mode": mode})
-    key = (r, mode)
-    if key in _SYSTEM_CACHE:
-        return _SYSTEM_CACHE[key]
+    return _horn_system(int(r), mode)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@functools.lru_cache(maxsize=16)
+def _horn_system(r: int, mode: str) -> HornSystem:
     triples = []
     for s in range(1, r):
         subsets = list(itertools.combinations(range(1, r + 1), s))
@@ -81,9 +90,7 @@ def generate_horn_system(r: int, mode: str = "all-positive") -> HornSystem:
                     if n >= 1 and (mode == "all-positive" or n == 1):
                         triples.append((i_set, j_set, k_set, n))
     triples.sort(key=lambda t: (len(t[0]), t[0], t[1], t[2]))
-    sys = HornSystem(r, mode, tuple(triples))
-    _SYSTEM_CACHE[key] = sys
-    return sys
+    return HornSystem(r, mode, tuple(triples))
 
 
 @dataclass(frozen=True)
@@ -137,18 +144,97 @@ def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[flo
     """Spectrum of a Hermitian matrix by cyclic Jacobi, descending.
 
     The complex matrix X + iY is embedded as the real symmetric doubling
-    [[X, -Y], [Y, X]] whose spectrum repeats each eigenvalue twice.  This is
-    the batch-of-one case of the lockstep routine `_jacobi_batch`, which
-    returns the same bits for a matrix whether it runs alone or in a batch.
+    [[X, -Y], [Y, X]] whose spectrum repeats each eigenvalue twice.  One
+    matrix goes through a scalar rotation loop on Python floats; a stack goes
+    through the lockstep numpy loop `_jacobi_batch`.  Both follow the
+    per-matrix rotation loop operation for operation (pivot order, skip test,
+    rotation formulas, columns before rows) and stop at the same sweep, so a
+    matrix gets the same bits on either path.
     """
-    a = np.asarray(h, dtype=complex)
+    if not _is_int(max_sweeps) or max_sweeps < 0:
+        raise GitkitError("bad_input", "max_sweeps must be a non-negative integer",
+                          {"max_sweeps": repr(max_sweeps)})
+    _check_tol(tol)
+    try:
+        a = np.asarray(h)
+        numeric = a.dtype.kind not in "SUV"        # numpy would parse strings
+        a = a.astype(complex)
+    except (TypeError, ValueError, OverflowError):
+        numeric = False
+    if not numeric:
+        raise GitkitError("bad_matrix", "matrix entries must be numbers in rows of equal length",
+                          {})
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GitkitError("bad_matrix", "square matrix required", {"shape": list(a.shape)})
     if not np.isfinite(a).all():
         raise GitkitError("bad_matrix", "matrix entries must be finite", {})
     if not np.allclose(a, a.conj().T, atol=1e-10):
         raise GitkitError("not_hermitian", "matrix is not Hermitian", {})
-    return _jacobi_batch(a[None], tol, max_sweeps)[0]
+    doubled = _doubling(a[None])
+    limit = tol * _scales(doubled)[0]
+    s = doubled[0].tolist()
+    n = len(s)
+    for _sweep in range(max_sweeps):
+        if _off_norms(np.array(s).reshape(1, n, n))[0] <= limit:
+            return sorted([s[i][i] for i in range(n)], reverse=True)[0::2]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = s[p][q]
+                if not abs(apq) > 1e-30:
+                    continue
+                tau = (s[q][q] - s[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                cth = 1.0 / math.sqrt(1.0 + t * t)
+                sth = t * cth
+                # columns p and q, then rows p and q from the updated values
+                for row in s:
+                    x = row[p]
+                    y = row[q]
+                    row[p] = cth * x - sth * y
+                    row[q] = sth * x + cth * y
+                rp = s[p]
+                rq = s[q]
+                for j in range(n):
+                    x = rp[j]
+                    y = rq[j]
+                    rp[j] = cth * x - sth * y
+                    rq[j] = sth * x + cth * y
+    raise GitkitError("jacobi_no_convergence",
+                      f"Jacobi iteration did not converge in {max_sweeps} sweeps", {"n": n})
+
+
+def _check_tol(tol) -> None:
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not math.isfinite(tol) or tol < 0):
+        raise GitkitError("bad_input", "tol must be a finite non-negative number",
+                          {"tol": repr(tol)})
+
+
+def _doubling(hs):
+    """The real symmetric doublings [[X, -Y], [Y, X]] of a stack of matrices X + iY."""
+    x, y = hs.real, hs.imag
+    return np.block([[x, -y], [y, x]])
+
+
+def _scales(s_mat):
+    """Each doubling's sweep scale: its Frobenius norm, at least 1."""
+    with np.errstate(over="ignore"):
+        scale = np.array([max(1.0, float(np.linalg.norm(m))) for m in s_mat])
+    if not np.isfinite(scale).all():
+        # the squares of the entries overflow, so the sweep test would pass at once
+        raise GitkitError("bad_matrix", "matrix norm overflows a float", {})
+    return scale
+
+
+def _off_norms(s_mat):
+    """Each doubling's off-diagonal Frobenius norm.
+
+    Summed directly over off-diagonal entries; the difference of the full and
+    diagonal Frobenius masses cancels catastrophically here.
+    """
+    n = s_mat.shape[-1]
+    off_sq = np.where(~np.eye(n, dtype=bool), s_mat, 0.0) ** 2
+    return np.sqrt(np.sum(off_sq.reshape(len(s_mat), n * n), axis=1))
 
 
 def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
@@ -162,23 +248,13 @@ def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
     negligible keeps its values by selection (an identity rotation could
     turn -0.0 into +0.0), and no operation sums across entries in a new order.
     """
-    x, y = hs.real, hs.imag
-    s_mat = np.block([[x, -y], [y, x]])
+    s_mat = _doubling(hs)
     n = s_mat.shape[-1]
-    with np.errstate(over="ignore"):
-        scale = np.array([max(1.0, float(np.linalg.norm(m))) for m in s_mat])
-    if not np.isfinite(scale).all():
-        # the squares of the entries overflow, so the sweep test would pass at once
-        raise GitkitError("bad_matrix", "matrix norm overflows a float", {})
-    off_diag = ~np.eye(n, dtype=bool)
+    scale = _scales(s_mat)
     live = np.arange(len(s_mat))
     out = [None] * len(s_mat)
     for _sweep in range(max_sweeps):
-        # summed directly over off-diagonal entries; the difference of the
-        # full and diagonal Frobenius masses cancels catastrophically here
-        off_sq = np.where(off_diag, s_mat, 0.0) ** 2
-        off = np.sqrt(np.sum(off_sq.reshape(len(s_mat), n * n), axis=1))
-        done = off <= tol * scale
+        done = _off_norms(s_mat) <= tol * scale
         for k in np.flatnonzero(done):
             out[live[k]] = sorted(np.diag(s_mat[k]).tolist(), reverse=True)[0::2]
         if done.any():
@@ -230,11 +306,13 @@ def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
     """Draw Gaussian Hermitian pairs, diagonalize A, B, A + B with the Jacobi
     routine in one lockstep batch, and check every inequality of the system
     within tolerance."""
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise GitkitError("bad_input", "trials must be an integer",
-                          {"type": type(trials).__name__})
-    if trials < 0:
-        raise GitkitError("bad_input", "trials must be non-negative", {"trials": trials})
+    for name, value in (("r", r), ("trials", trials), ("seed", seed)):
+        if not _is_int(value):
+            raise GitkitError("bad_input", f"{name} must be an integer",
+                              {"type": type(value).__name__})
+        if name != "r" and value < 0:
+            raise GitkitError("bad_input", f"{name} must be non-negative", {name: value})
+    _check_tol(tol)
     system = generate_horn_system(r, "all-positive")
     rng = np.random.default_rng(seed)
     m = len(system.triples)

@@ -9,9 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gitkit.characters import _su2_invariant_dim
 from gitkit.horn import (
     SampleReport,
+    _horn_system,
     _jacobi_batch,
     check_triple,
     generate_horn_system,
@@ -282,6 +285,102 @@ def test_batch_matches_single_calls():
     stack = np.stack([np.asarray(h, dtype=complex) for h in mats])
     assert repr(_jacobi_batch(stack)) == repr([jacobi_eigenvalues(h) for h in mats])
     assert _jacobi_batch(np.zeros((0, r, r), dtype=complex)) == []
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+_ENTRY = st.one_of(
+    st.integers(-9, 9).map(float),
+    st.builds(lambda k, e: k / 2.0 ** e, st.integers(-64, 64), st.integers(1, 8)),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, x: sign * x * 1e-31, _SIGN, st.floats(0.5, 2.0)),
+    st.builds(lambda sign, x: sign * x * 1e150, _SIGN, st.floats(0.5, 4.0)),
+)
+
+
+@st.composite
+def _hermitian(draw):
+    """Hermitian matrices with n = 0..7: Gaussian ones, real or complex, or
+    entries drawn one by one from integers, dyadic rationals, signed zeros,
+    pivots near 1e-31 (below the 1e-30 skip test) and magnitudes near 1e150."""
+    n = draw(st.integers(0, 7))
+    is_complex = draw(st.booleans())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        m = rng.standard_normal((n, n)) + 1j * is_complex * rng.standard_normal((n, n))
+        return (m + m.conj().T) / 2
+    h = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        h[i, i] = draw(_ENTRY)
+        for j in range(i + 1, n):
+            re, im = draw(_ENTRY), draw(_ENTRY) if is_complex else 0.0
+            h[i, j], h[j, i] = complex(re, im), complex(re, -im)
+    return h
+
+
+# near 1e150, tau * tau overflows to inf in the numpy routines, which is
+# harmless (t becomes 0) but warns
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_hermitian())
+def test_scalar_and_batch_jacobi_match_loop_reference_bits(h):
+    # one matrix goes through the scalar loop, a stack through the lockstep
+    # batch; both must give the per-matrix loop's bits
+    want = repr(_loop_jacobi(h))
+    assert repr(jacobi_eigenvalues(h)) == want
+    assert repr(_jacobi_batch(h[None])[0]) == want
+
+
+def test_jacobi_empty_matrix():
+    assert jacobi_eigenvalues(np.zeros((0, 0))) == []
+
+
+@pytest.mark.parametrize("bad", [[["a"]], [["1"]], [[1.0, 2.0], [3.0]], [[object()]],
+                                 [[10 ** 400]]])
+def test_jacobi_rejects_malformed_entries(bad):
+    with pytest.raises(GitkitError) as exc:
+        jacobi_eigenvalues(bad)
+    assert exc.value.code == "bad_matrix"
+
+
+@pytest.mark.parametrize("controls", [
+    {"max_sweeps": "3"}, {"max_sweeps": -1}, {"max_sweeps": 2.0}, {"max_sweeps": True},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"tol": "1e-9"},
+])
+def test_jacobi_rejects_bad_controls(controls):
+    with pytest.raises(GitkitError) as exc:
+        jacobi_eigenvalues([[1.0]], **controls)
+    assert exc.value.code == "bad_input"
+
+
+def test_system_rejects_non_integer_rank_cold_and_warm():
+    _horn_system.cache_clear()
+    for _ in range(2):
+        # the second round runs with (3, 'all-positive') cached
+        with pytest.raises(GitkitError) as exc:
+            generate_horn_system(3.0)
+        assert exc.value.code == "bad_rank"
+        generate_horn_system(3)
+    assert generate_horn_system(np.int64(3)) is generate_horn_system(3)
+
+
+def test_horn_and_su2_caches_are_bounded():
+    assert _horn_system.cache_info().maxsize is not None
+    assert _su2_invariant_dim.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1, "1e-8"])
+def test_sample_rejects_bad_tol(tol):
+    with pytest.raises(GitkitError) as exc:
+        sample_hermitian_validate(2, trials=3, tol=tol)
+    assert exc.value.code == "bad_input"
+
+
+@pytest.mark.parametrize("args", [{"r": 2.0}, {"r": "2"}, {"seed": "x"}, {"seed": 1.5},
+                                  {"seed": -1}])
+def test_sample_rejects_bad_rank_or_seed(args):
+    with pytest.raises(GitkitError) as exc:
+        sample_hermitian_validate(**{"r": 2, "trials": 3, **args})
+    assert exc.value.code == "bad_input"
 
 
 @pytest.mark.parametrize("bad", [
