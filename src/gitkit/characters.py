@@ -1,11 +1,15 @@
 """Laurent polynomial characters for GL(r) torus representations.
 
-Everything here is exact integer arithmetic on exponent dictionaries.  The
-character of an irreducible is produced by alternating-sum division: build the
-signed numerator, then divide out the product of (1 - t^(-alpha)) one positive
-root at a time.  Division is long division on the lex-largest monomial; if a
-division fails to terminate the input was not divisible and we abort rather
-than return a rounded answer.
+Everything here is exact integer arithmetic on exponent dictionaries, and
+every routine is Weyl's alternating sum over the permutations of lam + rho.
+The character of an irreducible divides the signed numerator by
+(1 - t^(-alpha)) one positive root at a time: one prefix sum down each line
+m + Z*alpha, and a line whose sum does not return to 0 means the numerator
+was not divisible, so we abort rather than return a rounded answer.  Tensor
+products straighten lam + nu over the weights nu of one factor
+(Brauer-Klimyk), invariant dimensions read the alternating sum off the
+product character at the diagonal weight, and Borel-Weil-Bott straightens a
+single weight.
 """
 
 from __future__ import annotations
@@ -13,17 +17,18 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from numbers import Rational
 from types import MappingProxyType
 
 from .lie import (
     GitkitError,
     Weight,
+    dominantize,
     is_dominant,
     is_int_list,
     rho,
     wadd,
     wsub,
-    weight_from_json,
     weight_to_json,
 )
 
@@ -197,33 +202,49 @@ def _check_dominant_integral(lam: Weight):
     if not is_dominant(lam):
         raise GitkitError("not_dominant", "weight entries must be weakly decreasing",
                           {"weight": weight_to_json(lam)})
+    if len(lam) > 6:
+        raise GitkitError("rank_too_large", "character expansion supported up to rank 6",
+                          {"rank": len(lam)})
 
 
-def _divide_one_factor(terms: dict, beta: tuple[int, ...], step_cap: int) -> dict:
-    # exact division by (1 - t^beta) with beta lex-negative, so the divisor's
-    # leading monomial is 1 and long division peels the lex-max term
+def weyl_alternant(lam: Weight) -> list[tuple[Weight, int]]:
+    """(w(lam + rho) - rho, sgn w) for every permutation w, in permutation order."""
+    r = len(lam)
+    shift = rho(r)
+    target = wadd(lam, shift)
+    out = []
+    for perm in itertools.permutations(range(r)):
+        v = tuple(target[perm[i]] for i in range(r))
+        inv = sum(1 for a in range(r) for b in range(a + 1, r) if perm[a] > perm[b])
+        out.append((wsub(v, shift), -1 if inv % 2 else 1))
+    return out
+
+
+def _divide_one_factor(terms: dict, beta: tuple[int, ...]) -> dict:
+    # exact division by (1 - t^beta), beta = e_j - e_i with i < j: the quotient
+    # obeys q[m] = f[m] + q[m - beta], so run one prefix sum down each line
+    # m + Z*beta from its lex-top; the division is exact iff every sum ends at 0
+    i, j = beta.index(-1), beta.index(1)
+
+    def at(m, k):   # the point of m's line with m_j = k
+        return m[:i] + (m[i] + m[j] - k,) + m[i + 1:j] + (k,) + m[j + 1:]
+
+    lines: dict = {}
+    for m in sorted(terms, reverse=True):
+        lines.setdefault(at(m, 0), []).append(m)
     quotient: dict = {}
-    rem = dict(terms)
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > step_cap:
+    for line in lines.values():
+        k = total = 0
+        for m in line:
+            if total:
+                for kk in range(k, m[j]):
+                    quotient[at(m, kk)] = total
+            k, total = m[j], total + terms[m]
+        if total:
             raise GitkitError("non_exact_division",
                               "alternating-sum numerator is not divisible by the root factor",
                               {"beta": list(beta)})
-        m = max(rem)
-        c = rem.pop(m)
-        quotient[m] = quotient.get(m, 0) + c
-        m2 = wadd(m, beta)
-        nc = rem.get(m2, 0) + c
-        if nc:
-            rem[m2] = nc
-        else:
-            rem.pop(m2, None)
-    return quotient
-
-
-_WC_CACHE: dict = {}
+    return dict(sorted(quotient.items(), reverse=True))
 
 
 def weyl_character(lam: Weight) -> LaurentPoly:
@@ -235,78 +256,45 @@ def weyl_character(lam: Weight) -> LaurentPoly:
     """
     lam = tuple(lam)
     _check_dominant_integral(lam)
-    r = len(lam)
-    if r > 6:
-        raise GitkitError("rank_too_large", "character expansion supported up to rank 6",
-                          {"rank": r})
-    terms = _WC_CACHE.get(lam)
-    if terms is None:
-        terms = _WC_CACHE[lam] = MappingProxyType(_weyl_terms(lam))
     poly = LaurentPoly.__new__(LaurentPoly)   # a fresh shell over the shared terms
-    poly.rank, poly.terms = r, terms
+    poly.rank, poly.terms = len(lam), _weyl_terms(lam)
     return poly
 
 
-def _weyl_terms(lam: Weight) -> dict:
-    """The terms of weyl_character(lam), computed and verified."""
-    r = len(lam)
-    shift = rho(r)
-    target = wadd(lam, shift)  # strictly decreasing, so all permutations distinct
-    num: dict = {}
-    for perm in itertools.permutations(range(r)):
-        v = tuple(target[perm[i]] for i in range(r))
-        inv = sum(1 for a in range(r) for b in range(a + 1, r) if perm[a] > perm[b])
-        w = wsub(v, shift)
-        num[w] = num.get(w, 0) + (-1 if inv % 2 else 1)
-
-    dim = weyl_dim(lam)
-    cap = 500 * max(dim, 1) + 20000
-    terms = {k: v for k, v in num.items() if v}
-    for i in range(r):
-        for j in range(i + 1, r):
-            beta = [0] * r
-            beta[i], beta[j] = -1, 1  # -(e_i - e_j), lex-negative
-            terms = _divide_one_factor(terms, tuple(beta), cap)
-
-    poly = LaurentPoly(r, terms)
-    if any(c < 0 for c in poly.terms.values()):
+@functools.lru_cache(maxsize=1024)
+def _weyl_terms(lam: Weight) -> MappingProxyType:
+    """The read-only terms of weyl_character(lam), computed and verified."""
+    terms = dict(weyl_alternant(lam))   # lam + rho is strictly decreasing: no collisions
+    for alpha in positive_roots(len(lam)):
+        terms = _divide_one_factor(terms, tuple(-a for a in alpha))
+    if any(c < 0 for c in terms.values()):
         raise GitkitError("internal", "negative multiplicity after division",
                           {"weight": weight_to_json(lam)})
-    if poly.total_coeff_sum() != dim:
+    dim = weyl_dim(lam)
+    if sum(terms.values()) != dim:
         raise GitkitError("internal", "character dimension mismatch",
                           {"weight": weight_to_json(lam), "expected": dim,
-                           "got": poly.total_coeff_sum()})
-    return poly.terms
-
-
-def _decompose(poly: LaurentPoly) -> dict[Weight, int]:
-    """Write a virtual character as an integer combination of irreducibles by
-    repeatedly stripping the lex-max weight.  Aborts on negative multiplicity."""
-    rem = poly
-    out: dict[Weight, int] = {}
-    while not rem.is_zero():
-        top = max(rem.terms)
-        if not is_dominant(top):
-            raise GitkitError("internal", "lex-max support weight is not dominant",
-                              {"weight": list(top)})
-        mult = rem.terms[top]
-        if mult < 0:
-            raise GitkitError("not_a_character",
-                              "negative multiplicity encountered during decomposition",
-                              {"weight": list(top), "multiplicity": mult})
-        out[top] = mult
-        rem = rem - weyl_character(top).scale(mult)
-    return out
+                           "got": sum(terms.values())})
+    return MappingProxyType(terms)
 
 
 def tensor_decompose(lam: Weight, mu: Weight) -> dict[Weight, int]:
-    """Multiplicities of the irreducible pieces of V_lam (x) V_mu."""
+    """Multiplicities of the irreducible pieces of V_lam (x) V_mu.
+
+    Brauer-Klimyk: each weight nu of V_mu contributes its multiplicity, with
+    the Bott sign, to the piece that lam + nu straightens to."""
     lam, mu = tuple(lam), tuple(mu)
     if len(lam) != len(mu):
         raise GitkitError("rank_mismatch", "tensor factors must share a rank",
                           {"left": len(lam), "right": len(mu)})
-    prod = weyl_character(lam) * weyl_character(mu)
-    out = _decompose(prod)
+    _check_dominant_integral(lam)
+    acc: dict[Weight, int] = {}
+    for nu, m in weyl_character(mu).terms.items():
+        hit = bwb_cohomology(wadd(lam, nu))
+        if hit is not None:
+            deg, dom = hit
+            acc[dom] = acc.get(dom, 0) + (-m if deg % 2 else m)
+    out = {nu: m for nu, m in sorted(acc.items(), reverse=True) if m}
     if sum(weyl_dim(nu) * m for nu, m in out.items()) != weyl_dim(lam) * weyl_dim(mu):
         raise GitkitError("internal", "tensor pieces do not add up to the product dimension",
                           {"lambda": weight_to_json(lam), "mu": weight_to_json(mu)})
@@ -317,7 +305,9 @@ def invariant_dim(lams: list, group: str = "SL") -> int:
     """Dimension of the invariant subspace of a tensor product of irreducibles.
 
     'GL' counts the trivial character exactly; 'SL' also counts determinant
-    twists, i.e. all weights with equal coordinates.
+    twists, i.e. all weights with equal coordinates.  The multiplicity of
+    V(c,...,c) in the product character chi is the alternating sum
+    sum_w sgn(w) chi[(c,...,c) + rho - w rho].
     """
     if group not in ("SL", "GL"):
         raise GitkitError("bad_group", "group must be 'SL' or 'GL'", {"group": group})
@@ -330,14 +320,11 @@ def invariant_dim(lams: list, group: str = "SL") -> int:
     prod = LaurentPoly.one(r)
     for l in lams:
         prod = prod * weyl_character(l)
-    decomp = _decompose(prod)
-    if group == "GL":
-        return decomp.get((0,) * r, 0)
-    total = 0
-    for nu, m in decomp.items():
-        if len(set(nu)) == 1:
-            total += m
-    return total
+    degree = sum(sum(l) for l in lams)   # every weight of the product has this sum
+    if degree % r or (group == "GL" and degree):
+        return 0
+    diag = (degree // r,) * r
+    return sum(s * prod.coeff(wsub(diag, shift)) for shift, s in weyl_alternant((0,) * r))
 
 
 def su2_invariant_dim(labels, scale: int = 1) -> int:
@@ -346,9 +333,16 @@ def su2_invariant_dim(labels, scale: int = 1) -> int:
     `labels` are the doubled spins (integers, so spin 3/2 is label 3); `scale`
     multiplies every label first.  Realized through SL(2) weights (n, 0).
     """
+    if not isinstance(scale, Rational):
+        raise GitkitError("bad_input", "scale must be an integer or a fraction",
+                          {"scale": repr(scale)})
     scaled = []
     for l in labels:
-        v = Fraction(l) * scale
+        try:
+            v = Fraction(l) * scale
+        except (TypeError, ValueError, OverflowError):
+            raise GitkitError("bad_input", "labels must be rational numbers",
+                              {"label": repr(l)}) from None
         if v.denominator != 1:
             raise GitkitError("not_integral", "scaled label is not an integer",
                               {"label": str(l), "scale": scale})
@@ -371,8 +365,6 @@ def bwb_cohomology(lam: Weight):
     otherwise (degree, dominant weight): degree is the number of inversions
     needed to sort lam + rho and the weight is the sorted result minus rho.
     """
-    from .lie import dominantize
-
     lam = tuple(lam)
     if not all(isinstance(x, int) for x in lam):
         raise GitkitError("not_integral", "integral weight required", {"weight": weight_to_json(lam)})

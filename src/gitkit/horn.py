@@ -264,7 +264,7 @@ def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
             return out
         lanes = len(live)
         # masked lanes divide by a zero pivot; their results are discarded
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     apq = s_mat[:, p, q, None]

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import LaurentPoly, positive_roots, weyl_character
+from .characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
 from .lie import (
     GitkitError,
     Weight,
@@ -29,11 +29,8 @@ from .lie import (
     is_int_list,
     parse_rat,
     rat,
-    rho,
-    wadd,
     wdot,
     weight,
-    wsub,
 )
 from .polytopes import Polytope, _frame_index, hull
 
@@ -401,15 +398,8 @@ def weyl_via_localization(lam) -> tuple[ConeSeries, LaurentPoly]:
                           {"weight": list(lam)})
     dens = tuple(sorted(tuple(-x for x in a) for a in positive_roots(r)))
     xi = tuple(Fraction(r - i) for i in range(r))
-    shift = rho(r)
-    target = wadd(lam, shift)
-    terms = []
-    for perm in itertools.permutations(range(r)):
-        v = tuple(target[perm[i]] for i in range(r))
-        inv = sum(1 for a in range(r) for b in range(a + 1, r) if perm[a] > perm[b])
-        mono = LaurentPoly.monomial(wsub(v, shift), -1 if inv % 2 else 1)
-        terms.append(Term(mono, dens, xi))
-    series = ConeSeries(tuple(terms))
+    series = ConeSeries(tuple(Term(LaurentPoly.monomial(w, sign), dens, xi)
+                              for w, sign in weyl_alternant(lam)))
     lo, hi = min(lam), max(lam)
     box = tuple((lo, hi) for _ in range(r))
     expansion = expand_in_box(series, box)

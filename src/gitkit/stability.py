@@ -393,12 +393,12 @@ def _certified_nearest(ws, masses):
     return tuple(float(v) for v in p)
 
 
-@dataclass(frozen=True)
-class DescentConfig:
-    init_step: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    escape_radius: float = 50.0
+# Armijo line search: first trial step, backtracking factor, sufficient
+# decrease; an escape is first certified at twice ESCAPE_RADIUS
+INIT_STEP = 1.0
+BACKTRACK = 0.5
+ARMIJO = 1e-4
+ESCAPE_RADIUS = 50.0
 
 
 @dataclass(frozen=True)
@@ -419,12 +419,11 @@ class Escaped:
 
 
 def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
-                        max_iter: int = 100000,
-                        config: DescentConfig | None = None):
+                        max_iter: int = 100000):
     """Armijo-backtracking gradient descent on the norm functional.
 
     Converged: gradient norm under tol.  Escaped: once the iterate leaves the
-    ball of radius escape_radius, the softmax masses single out the
+    ball of radius 2 * ESCAPE_RADIUS, the softmax masses single out the
     destabilizing face and the reported direction and slope come from the
     certified projection of the origin onto that face; if certification
     fails the flow continues to twice the radius, where the face separation
@@ -432,11 +431,10 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
     destabilizer convention (it points away from the weight hull).
     Exhausting max_iter raises.
     """
-    cfg = config or DescentConfig()
     r = x.rank
     xi = tuple(float(v) for v in (xi0 if xi0 is not None else (0.0,) * r))
     ws, cs = _float_data(x)
-    check_at = 2.0 * cfg.escape_radius
+    check_at = 2.0 * ESCAPE_RADIUS
     val, grad = kempf_ness(x, xi)
     for it in range(1, max_iter + 1):
         gn = math.sqrt(sum(g * g for g in grad))
@@ -451,14 +449,14 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
                 direction = tuple(-v / pn + 0.0 for v in p)
                 return Escaped(direction=direction, slope=-pn, iterations=it)
             check_at *= 2.0
-        step = cfg.init_step
+        step = INIT_STEP
         while True:
             cand = tuple(a - step * g for a, g in zip(xi, grad))
             cval, cgrad = kempf_ness(x, cand)
-            if cval <= val - cfg.armijo * step * gn * gn:
+            if cval <= val - ARMIJO * step * gn * gn:
                 xi, val, grad = cand, cval, cgrad
                 break
-            step *= cfg.backtrack
+            step *= BACKTRACK
             if step < 1e-18:
                 if gn < 10 * tol:
                     return Converged(xi=xi, value=val, residual=gn, iterations=it)

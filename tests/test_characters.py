@@ -2,9 +2,13 @@
 
 The dimension product formula acts as the independent oracle for the
 division route inside weyl_character, and small tensor decompositions are
-pinned by hand.
+pinned by hand.  The earlier routes (long division on the lex-max term, and
+product-and-strip for tensor products and invariants) are kept below as
+references that the alternating-sum routes must match, dict order included.
 """
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from gitkit.characters import (
     LaurentPoly,
+    _divide_one_factor,
     bwb_cohomology,
     invariant_dim,
     positive_roots,
@@ -21,7 +26,16 @@ from gitkit.characters import (
     weyl_character,
     weyl_dim,
 )
-from gitkit.lie import GitkitError, rho, weyl_orbit
+from gitkit.lie import (
+    GitkitError,
+    Weight,
+    is_dominant,
+    rho,
+    wadd,
+    weight_to_json,
+    weyl_orbit,
+    wsub,
+)
 
 
 # ---------------------------------------------------------------- LaurentPoly
@@ -239,6 +253,15 @@ def test_su2_invariant_dim_scale():
         su2_invariant_dim([Fraction(1, 2)], scale=3)
 
 
+@pytest.mark.parametrize("labels, scale", [
+    (["a"], 1), ([float("nan")], 1), ([1], "x"), ([1], 0.5),
+])
+def test_su2_invariant_dim_rejects_bad_input(labels, scale):
+    with pytest.raises(GitkitError) as exc:
+        su2_invariant_dim(labels, scale=scale)
+    assert exc.value.code == "bad_input"
+
+
 # ----------------------------------------------------------- sheaf cohomology
 
 def test_bwb_degrees():
@@ -272,3 +295,176 @@ def test_cached_character_cannot_be_rebound():
     weyl_character((1, 0)).rank = 3
     assert weyl_character((1, 0)) == LaurentPoly(2, {(1, 0): 1, (0, 1): 1})
     assert tensor_decompose((1, 0), (1, 0)) == {(2, 0): 1, (1, 1): 1}
+
+
+# ----------------------------------------------- reference routes, kept verbatim
+# The long division, product-and-strip decomposition and invariant count that
+# the alternating-sum routes replaced; only the names are prefixed with _ref.
+
+def _ref_divide_one_factor(terms: dict, beta: tuple[int, ...], step_cap: int) -> dict:
+    # exact division by (1 - t^beta) with beta lex-negative, so the divisor's
+    # leading monomial is 1 and long division peels the lex-max term
+    quotient: dict = {}
+    rem = dict(terms)
+    steps = 0
+    while rem:
+        steps += 1
+        if steps > step_cap:
+            raise GitkitError("non_exact_division",
+                              "alternating-sum numerator is not divisible by the root factor",
+                              {"beta": list(beta)})
+        m = max(rem)
+        c = rem.pop(m)
+        quotient[m] = quotient.get(m, 0) + c
+        m2 = wadd(m, beta)
+        nc = rem.get(m2, 0) + c
+        if nc:
+            rem[m2] = nc
+        else:
+            rem.pop(m2, None)
+    return quotient
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_weyl_terms(lam: Weight) -> dict:
+    """The terms of weyl_character(lam), computed and verified."""
+    r = len(lam)
+    shift = rho(r)
+    target = wadd(lam, shift)  # strictly decreasing, so all permutations distinct
+    num: dict = {}
+    for perm in itertools.permutations(range(r)):
+        v = tuple(target[perm[i]] for i in range(r))
+        inv = sum(1 for a in range(r) for b in range(a + 1, r) if perm[a] > perm[b])
+        w = wsub(v, shift)
+        num[w] = num.get(w, 0) + (-1 if inv % 2 else 1)
+
+    dim = weyl_dim(lam)
+    cap = 500 * max(dim, 1) + 20000
+    terms = {k: v for k, v in num.items() if v}
+    for i in range(r):
+        for j in range(i + 1, r):
+            beta = [0] * r
+            beta[i], beta[j] = -1, 1  # -(e_i - e_j), lex-negative
+            terms = _ref_divide_one_factor(terms, tuple(beta), cap)
+
+    poly = LaurentPoly(r, terms)
+    if any(c < 0 for c in poly.terms.values()):
+        raise GitkitError("internal", "negative multiplicity after division",
+                          {"weight": weight_to_json(lam)})
+    if poly.total_coeff_sum() != dim:
+        raise GitkitError("internal", "character dimension mismatch",
+                          {"weight": weight_to_json(lam), "expected": dim,
+                           "got": poly.total_coeff_sum()})
+    return poly.terms
+
+
+def _ref_weyl_character(lam: Weight) -> LaurentPoly:
+    return LaurentPoly(len(lam), _ref_weyl_terms(tuple(lam)))
+
+
+def _ref_decompose(poly: LaurentPoly) -> dict[Weight, int]:
+    """Write a virtual character as an integer combination of irreducibles by
+    repeatedly stripping the lex-max weight.  Aborts on negative multiplicity."""
+    rem = poly
+    out: dict[Weight, int] = {}
+    while not rem.is_zero():
+        top = max(rem.terms)
+        if not is_dominant(top):
+            raise GitkitError("internal", "lex-max support weight is not dominant",
+                              {"weight": list(top)})
+        mult = rem.terms[top]
+        if mult < 0:
+            raise GitkitError("not_a_character",
+                              "negative multiplicity encountered during decomposition",
+                              {"weight": list(top), "multiplicity": mult})
+        out[top] = mult
+        rem = rem - _ref_weyl_character(top).scale(mult)
+    return out
+
+
+def _ref_tensor_decompose(lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """Multiplicities of the irreducible pieces of V_lam (x) V_mu."""
+    lam, mu = tuple(lam), tuple(mu)
+    if len(lam) != len(mu):
+        raise GitkitError("rank_mismatch", "tensor factors must share a rank",
+                          {"left": len(lam), "right": len(mu)})
+    prod = _ref_weyl_character(lam) * _ref_weyl_character(mu)
+    out = _ref_decompose(prod)
+    if sum(weyl_dim(nu) * m for nu, m in out.items()) != weyl_dim(lam) * weyl_dim(mu):
+        raise GitkitError("internal", "tensor pieces do not add up to the product dimension",
+                          {"lambda": weight_to_json(lam), "mu": weight_to_json(mu)})
+    return out
+
+
+def _ref_invariant_dim(lams: list, group: str = "SL") -> int:
+    """Dimension of the invariant subspace of a tensor product of irreducibles.
+
+    'GL' counts the trivial character exactly; 'SL' also counts determinant
+    twists, i.e. all weights with equal coordinates.
+    """
+    if group not in ("SL", "GL"):
+        raise GitkitError("bad_group", "group must be 'SL' or 'GL'", {"group": group})
+    lams = [tuple(l) for l in lams]
+    if not lams:
+        raise GitkitError("bad_input", "need at least one factor", {})
+    r = len(lams[0])
+    if any(len(l) != r for l in lams):
+        raise GitkitError("rank_mismatch", "factors must share a rank", {})
+    prod = LaurentPoly.one(r)
+    for l in lams:
+        prod = prod * _ref_weyl_character(l)
+    decomp = _ref_decompose(prod)
+    if group == "GL":
+        return decomp.get((0,) * r, 0)
+    total = 0
+    for nu, m in decomp.items():
+        if len(set(nu)) == 1:
+            total += m
+    return total
+
+
+# Entries in -1..3 keep the quadratic reference division fast at rank 5.
+def _dominant(r: int, lo: int = -1, hi: int = 3):
+    return st.lists(st.integers(lo, hi), min_size=r, max_size=r).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+_REFERENCE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_REFERENCE
+@given(st.integers(1, 5).flatmap(_dominant))
+def test_weyl_character_matches_long_division(lam):
+    assert list(weyl_character(lam).terms.items()) == list(_ref_weyl_terms(lam).items())
+
+
+@_REFERENCE
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(_dominant(r), _dominant(r))))
+def test_tensor_decompose_matches_product_and_strip(pair):
+    lam, mu = pair
+    assert list(tensor_decompose(lam, mu).items()) == list(_ref_tensor_decompose(lam, mu).items())
+
+
+@_REFERENCE
+@given(st.integers(1, 3).flatmap(
+    lambda r: st.lists(_dominant(r, -2, 2), min_size=1, max_size=4)))
+def test_invariant_dim_matches_product_and_strip(lams):
+    for group in ("SL", "GL"):
+        assert invariant_dim(lams, group) == _ref_invariant_dim(lams, group)
+
+
+@_REFERENCE
+@given(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3), st.integers(-4, 4), max_size=8),
+       st.sampled_from(positive_roots(3)))
+def test_divide_one_factor_inverts_multiplication(g, alpha):
+    # any multiple of (1 - t^beta), homogeneous or not, divides back to g, lex-descending
+    beta = tuple(-a for a in alpha)
+    g = LaurentPoly(3, g)
+    f = g - g * LaurentPoly.monomial(beta)
+    assert list(_divide_one_factor(f.terms, beta).items()) == sorted(g.terms.items(), reverse=True)
+
+
+def test_divide_one_factor_rejects_non_multiple():
+    with pytest.raises(GitkitError) as exc:
+        _divide_one_factor({(1, 0): 1}, (-1, 1))
+    assert exc.value.code == "non_exact_division"

@@ -23,8 +23,9 @@ from gitkit.lie import GitkitError
 horn.polygon_nonempty = lambda lengths: True
 rows, ok = examples.run_all()
 codes = {}
-real = characters._decompose
-characters._decompose = lambda prod: dict(list(real(prod).items())[1:])
+real = characters.weyl_character
+characters.weyl_character = lambda lam: characters.LaurentPoly(
+    len(lam), dict(list(real(lam).terms.items())[1:]))
 try:
     characters.tensor_decompose((1, 0), (1, 0))
 except GitkitError as exc:
@@ -55,8 +56,10 @@ def test_false_cases_fail_under_python_O(tmp_path):
 
 
 def test_tensor_decompose_dimension_check(monkeypatch):
-    real = characters._decompose
-    monkeypatch.setattr(characters, "_decompose", lambda prod: dict(list(real(prod).items())[1:]))
+    # a character that lost one weight makes the pieces fall short of the product
+    real = characters.weyl_character
+    monkeypatch.setattr(characters, "weyl_character", lambda lam: characters.LaurentPoly(
+        len(lam), dict(list(real(lam).terms.items())[1:])))
     with pytest.raises(GitkitError) as exc:
         characters.tensor_decompose((1, 0), (1, 0))
     assert exc.value.code == "internal"

@@ -317,15 +317,15 @@ def _hermitian(draw):
     return h
 
 
-# near 1e150, tau * tau overflows to inf in the numpy routines, which is
-# harmless (t becomes 0) but warns
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_hermitian())
 def test_scalar_and_batch_jacobi_match_loop_reference_bits(h):
     # one matrix goes through the scalar loop, a stack through the lockstep
-    # batch; both must give the per-matrix loop's bits
-    want = repr(_loop_jacobi(h))
+    # batch; both must give the per-matrix loop's bits.  Near 1e150,
+    # tau * tau overflows to inf (harmless: t becomes 0); only the reference's
+    # numpy scalars are silenced here, so a warning from gitkit still shows
+    with np.errstate(over="ignore"):
+        want = repr(_loop_jacobi(h))
     assert repr(jacobi_eigenvalues(h)) == want
     assert repr(_jacobi_batch(h[None])[0]) == want
 
