@@ -5,21 +5,33 @@ minimize_kempf_ness runs on floats.  Each side is tested alone and then the
 two are played against each other on random supports.
 """
 
+import json
 import math
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitkit.lie import GitkitError, rat, wadd, wdot, wsub
+from gitkit.lie import GitkitError, rat, wadd, wdot, wneg, wsub
+from gitkit.polytopes import hull
 from gitkit.stability import (
+    ARMIJO,
+    BACKTRACK,
+    ESCAPE_RADIUS,
+    INIT_STEP,
+    Converged,
+    Escaped,
     HMSlope,
     Polystable,
     ProjPoint,
     SemistableNotPolystable,
     Stable,
     Unstable,
+    _certified_nearest,
     associated_graded,
     classify_stability,
     critical_types,
@@ -353,3 +365,203 @@ def _subsets(draw):
 def test_project_origin_affine_matches_fraction_reference(pts):
     got = stability._project_origin_affine(pts)
     assert repr(got) == repr(_reference_project_origin_affine(pts)), pts
+
+
+# ------------------------------------------------ pins and the earlier flow code
+#
+# tests/stability_pinned.json holds the repr of every result on three fixed
+# input sets, recorded from the code before the float side was folded into
+# one kernel: c08's 100 points, a catalog of points built like the stability
+# benchmark's (planted verdicts, weights at the c08 scale) and the stdout of
+# scripts/descent_demo.py --trials 40.  A float that changes in its last bit
+# changes a repr.
+
+PINS = json.loads(Path(__file__).with_name("stability_pinned.json").read_text())
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "descent_demo.py"
+
+
+def _outcome(f, *args, **kw):
+    """repr of a result, or the code and context of the GitkitError it raised."""
+    try:
+        return repr(f(*args, **kw))
+    except GitkitError as exc:
+        return f"GitkitError({exc.code!r}, {exc.context!r})"
+
+
+def _c08_points():
+    """The 100 points of test_c08, drawn the same way."""
+    rng = random.Random(7)
+    for _ in range(100):
+        r = rng.randint(1, 3)
+        m = rng.randint(2, 8)
+        weights = [tuple(Fraction(rng.randint(-1500, 1500), 1000)
+                         for _ in range(r)) for _ in range(m)]
+        masses = [Fraction(rng.randint(1, 2000), 1000) for _ in range(m)]
+        yield proj_point(weights, masses)
+
+
+def _catalog_outcomes(x, flow):
+    zero = (0,) * x.rank
+    out = {"verdict": _outcome(classify_stability, x),
+           "destab": _outcome(max_destabilizing, x),
+           "jh": _outcome(jordan_holder_cone, x),
+           "kn": _outcome(kempf_ness, x, zero)}
+    if flow:
+        out["flow"] = _outcome(minimize_kempf_ness, x, tol=1e-6, max_iter=10 ** 5)
+    return out
+
+
+def test_pinned_c08_points():
+    got = [{"verdict": _outcome(classify_stability, x),
+            "flow": _outcome(minimize_kempf_ness, x, tol=1e-6, max_iter=10 ** 5)}
+           for x in _c08_points()]
+    assert got == PINS["c08"]
+
+
+def test_pinned_stability_catalog():
+    for case in PINS["catalog"]:
+        x = proj_point([tuple(Fraction(c) for c in w) for w in case["weights"]],
+                       [Fraction(c) for c in case["masses"]])
+        assert _catalog_outcomes(x, "flow" in case["out"]) == case["out"], case["weights"]
+
+
+def test_pinned_descent_demo_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(DEMO), "--trials", "40"])
+    runpy.run_path(str(DEMO), run_name="__main__")
+    assert capsys.readouterr().out == PINS["descent_demo_trials_40"]
+
+
+# The flow and the exact verdicts as they were before the one-kernel change,
+# verbatim apart from the _ref_ names; the current code must give the same
+# repr on every drawn point.
+
+def _ref_float_data(x: ProjPoint):
+    ws = [[float(c) for c in w] for w, _ in x.support]
+    cs = [float(c) for _, c in x.support]
+    return ws, cs
+
+
+def _ref_soft_state(ws, cs, xi):
+    r = len(xi)
+    exps = [math.log(c) - 2.0 * sum(w[k] * xi[k] for k in range(r))
+            for w, c in zip(ws, cs)]
+    m = max(exps)
+    raw = [math.exp(e - m) for e in exps]
+    z = sum(raw)
+    value = 0.5 * (m + math.log(z))
+    masses = [v / z for v in raw]
+    return value, masses
+
+
+def _ref_kempf_ness(x: ProjPoint, xi) -> tuple[float, tuple]:
+    ws, cs = _ref_float_data(x)
+    xi = [float(v) for v in xi]
+    r = x.rank
+    if len(xi) != r:
+        raise GitkitError("rank_mismatch", "direction length does not match rank",
+                          {"rank": r, "xi": len(xi)})
+    value, masses = _ref_soft_state(ws, cs, xi)
+    grad = tuple(-sum(ws[j][k] * masses[j] for j in range(len(ws)))
+                 for k in range(r))
+    return value, grad
+
+
+def _ref_minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
+                             max_iter: int = 100000):
+    r = x.rank
+    xi = tuple(float(v) for v in (xi0 if xi0 is not None else (0.0,) * r))
+    ws, cs = _ref_float_data(x)
+    check_at = 2.0 * ESCAPE_RADIUS
+    val, grad = _ref_kempf_ness(x, xi)
+    for it in range(1, max_iter + 1):
+        gn = math.sqrt(sum(g * g for g in grad))
+        if gn < tol:
+            return Converged(xi=xi, value=val, residual=gn, iterations=it)
+        radius = math.sqrt(sum(v * v for v in xi))
+        if radius >= check_at:
+            _, masses = _ref_soft_state(ws, cs, xi)
+            p = _certified_nearest(ws, masses)
+            if p is not None:
+                pn = math.sqrt(sum(v * v for v in p))
+                direction = tuple(-v / pn + 0.0 for v in p)
+                return Escaped(direction=direction, slope=-pn, iterations=it)
+            check_at *= 2.0
+        step = INIT_STEP
+        while True:
+            cand = tuple(a - step * g for a, g in zip(xi, grad))
+            cval, cgrad = _ref_kempf_ness(x, cand)
+            if cval <= val - ARMIJO * step * gn * gn:
+                xi, val, grad = cand, cval, cgrad
+                break
+            step *= BACKTRACK
+            if step < 1e-18:
+                if gn < 10 * tol:
+                    return Converged(xi=xi, value=val, residual=gn, iterations=it)
+                raise GitkitError("line_search_stalled",
+                                  "descent line search stalled above tolerance",
+                                  {"residual": gn})
+    raise GitkitError("descent_exhausted",
+                      f"no verdict within {max_iter} iterations",
+                      {"residual": math.sqrt(sum(g * g for g in grad))})
+
+
+def _ref_classify_stability(x: ProjPoint):
+    h = hull(x.weights)
+    zero = (0,) * x.rank
+    if not h.contains(zero):
+        return max_destabilizing(x)
+    if h.contains_relint(zero):
+        if h.dim == x.rank:
+            return Stable()
+        return Polystable(stabilizer_dim=x.rank - h.dim)
+    active = h.active_facets(zero)
+    verts = tuple(sorted(
+        v for v in h.vertices
+        if all(wdot(h.facets[i][0], v) == h.facets[i][1] for i in active)))
+    return SemistableNotPolystable(jh_face=verts)
+
+
+def _ref_jordan_holder_cone(x: ProjPoint) -> tuple:
+    verdict = _ref_classify_stability(x)
+    if isinstance(verdict, Unstable):
+        raise GitkitError("unstable", "unstable points have no polystable degeneration", {})
+    if isinstance(verdict, (Stable, Polystable)):
+        return ()
+    h = hull(x.weights)
+    zero = (0,) * x.rank
+    return tuple(sorted(wneg(h.facets[i][0]) for i in h.active_facets(zero)))
+
+
+@st.composite
+def _c08_scale_points(draw):
+    """Points of rank 1-3 with 2-8 weights at the c08 scale: random
+    thousandths (almost always stable or unstable), or halves with some
+    weights mirrored through the origin (polystable and strictly semistable
+    points too)."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        coord = st.integers(-1500, 1500).map(lambda n: Fraction(n, 1000))
+    else:
+        coord = st.integers(-3, 3).map(lambda n: Fraction(n, 2))
+    ws = [tuple(draw(coord) for _ in range(r)) for _ in range(m)]
+    ws += [wneg(ws[i]) for i in draw(st.lists(st.integers(0, m - 1), max_size=3))]
+    cs = [Fraction(draw(st.integers(1, 2000)), 1000) for _ in ws]
+    xi = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(r))
+    return proj_point(ws, cs), xi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_c08_scale_points())
+def test_flow_and_verdicts_match_earlier_code(case):
+    x, xi = case
+    verdict = _ref_classify_stability(x)
+    assert repr(classify_stability(x)) == repr(verdict)
+    assert _outcome(jordan_holder_cone, x) == _outcome(_ref_jordan_holder_cone, x)
+    assert repr(kempf_ness(x, xi)) == repr(_ref_kempf_ness(x, xi))
+    assert _outcome(kempf_ness, x, xi[:-1]) == _outcome(_ref_kempf_ness, x, xi[:-1])
+    if not isinstance(verdict, SemistableNotPolystable):    # these always exhaust
+        # a small max_iter compares a descent_exhausted outcome cheaply
+        for start in (None, xi):
+            assert (_outcome(minimize_kempf_ness, x, start, tol=1e-6, max_iter=300)
+                    == _outcome(_ref_minimize_kempf_ness, x, start, tol=1e-6, max_iter=300))
