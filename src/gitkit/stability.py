@@ -4,8 +4,8 @@ A projective point is summarized by its support: the list of torus weights
 carrying nonzero coordinates, each with a positive mass (squared coordinate
 size).  Every exact question (classification, worst destabilizer, critical
 types) reduces to rational convex geometry on those weights; the descent
-solver is the one deliberately floating-point piece, and the tests play the
-two routes against each other.
+solver is the one deliberately floating-point piece (one kernel, `_psi`),
+and the tests play the two routes against each other.
 """
 
 from __future__ import annotations
@@ -213,16 +213,17 @@ def max_destabilizing(x: ProjPoint):
 
 
 def classify_stability(x: ProjPoint):
-    """Exact verdict from the position of the origin in the weight hull."""
+    """Exact verdict from the position of the origin in the weight hull; the
+    facets through the origin, if any, cut out the Jordan-Holder face."""
     h = hull(x.weights)
     zero = (0,) * x.rank
     if not h.contains(zero):
         return max_destabilizing(x)
-    if h.contains_relint(zero):
+    active = h.active_facets(zero)
+    if not active:
         if h.dim == x.rank:
             return Stable()
         return Polystable(stabilizer_dim=x.rank - h.dim)
-    active = h.active_facets(zero)
     verts = tuple(sorted(
         v for v in h.vertices
         if all(wdot(h.facets[i][0], v) == h.facets[i][1] for i in active)))
@@ -276,14 +277,11 @@ def associated_graded(x: ProjPoint, lam: Weight) -> ProjPoint:
 def jordan_holder_cone(x: ProjPoint) -> tuple:
     """Directions whose graded limit is polystable: the inward normals of the
     hull facets through the origin.  Empty tuple when already polystable;
-    unstable points have no such cone."""
-    verdict = classify_stability(x)
-    if isinstance(verdict, Unstable):
-        raise GitkitError("unstable", "unstable points have no polystable degeneration", {})
-    if isinstance(verdict, (Stable, Polystable)):
-        return ()
+    unstable points (origin outside the hull) have no such cone."""
     h = hull(x.weights)
     zero = (0,) * x.rank
+    if not h.contains(zero):
+        raise GitkitError("unstable", "unstable points have no polystable degeneration", {})
     return tuple(sorted(wneg(h.facets[i][0]) for i in h.active_facets(zero)))
 
 
@@ -319,21 +317,28 @@ def product(x: ProjPoint, y: ProjPoint) -> ProjPoint:
 
 
 def _float_data(x: ProjPoint):
-    ws = [[float(c) for c in w] for w, _ in x.support]
-    cs = [float(c) for _, c in x.support]
-    return ws, cs
+    """Float weights and log-masses of a point, for the kernel below."""
+    return ([[float(c) for c in w] for w, _ in x.support],
+            [math.log(float(c)) for _, c in x.support])
 
 
-def _soft_state(ws, cs, xi):
-    r = len(xi)
-    exps = [math.log(c) - 2.0 * sum(w[k] * xi[k] for k in range(r))
-            for w, c in zip(ws, cs)]
+def _float_direction(xi, r: int) -> tuple:
+    if len(xi := tuple(float(v) for v in xi)) != r:
+        raise GitkitError("rank_mismatch", "direction length does not match rank",
+                          {"rank": r, "xi": len(xi)})
+    return xi
+
+
+def _psi(ws, logc, xi):
+    """Value, softmax masses and gradient of psi at xi, from float weights
+    and log-masses; the one float kernel of the flow."""
+    exps = [lc - 2.0 * sum(a * b for a, b in zip(w, xi)) for w, lc in zip(ws, logc)]
     m = max(exps)
     raw = [math.exp(e - m) for e in exps]
     z = sum(raw)
-    value = 0.5 * (m + math.log(z))
     masses = [v / z for v in raw]
-    return value, masses
+    grad = tuple(-sum(w[k] * mj for w, mj in zip(ws, masses)) for k in range(len(xi)))
+    return 0.5 * (m + math.log(z)), masses, grad
 
 
 def kempf_ness(x: ProjPoint, xi) -> tuple[float, tuple]:
@@ -342,15 +347,8 @@ def kempf_ness(x: ProjPoint, xi) -> tuple[float, tuple]:
 
     The gradient is minus the softmax-weighted average of the weights, i.e.
     minus the moment map of the flowed point."""
-    ws, cs = _float_data(x)
-    xi = [float(v) for v in xi]
-    r = x.rank
-    if len(xi) != r:
-        raise GitkitError("rank_mismatch", "direction length does not match rank",
-                          {"rank": r, "xi": len(xi)})
-    value, masses = _soft_state(ws, cs, xi)
-    grad = tuple(-sum(ws[j][k] * masses[j] for j in range(len(ws)))
-                 for k in range(r))
+    ws, logc = _float_data(x)
+    value, _, grad = _psi(ws, logc, _float_direction(xi, x.rank))
     return value, grad
 
 
@@ -429,20 +427,20 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
     fails the flow continues to twice the radius, where the face separation
     is exponentially sharper, and tries again.  The direction matches the
     destabilizer convention (it points away from the weight hull).
-    Exhausting max_iter raises.
+    Exhausting max_iter raises.  The data are converted to floats once; each
+    trial step is one `_psi` call, whose masses the escape check reuses.
     """
     r = x.rank
-    xi = tuple(float(v) for v in (xi0 if xi0 is not None else (0.0,) * r))
-    ws, cs = _float_data(x)
+    xi = _float_direction(xi0 if xi0 is not None else (0.0,) * r, r)
+    ws, logc = _float_data(x)
     check_at = 2.0 * ESCAPE_RADIUS
-    val, grad = kempf_ness(x, xi)
+    val, masses, grad = _psi(ws, logc, xi)
     for it in range(1, max_iter + 1):
         gn = math.sqrt(sum(g * g for g in grad))
         if gn < tol:
             return Converged(xi=xi, value=val, residual=gn, iterations=it)
         radius = math.sqrt(sum(v * v for v in xi))
         if radius >= check_at:
-            _, masses = _soft_state(ws, cs, xi)
             p = _certified_nearest(ws, masses)
             if p is not None:
                 pn = math.sqrt(sum(v * v for v in p))
@@ -452,9 +450,9 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
         step = INIT_STEP
         while True:
             cand = tuple(a - step * g for a, g in zip(xi, grad))
-            cval, cgrad = kempf_ness(x, cand)
+            cval, cmasses, cgrad = _psi(ws, logc, cand)
             if cval <= val - ARMIJO * step * gn * gn:
-                xi, val, grad = cand, cval, cgrad
+                xi, val, masses, grad = cand, cval, cmasses, cgrad
                 break
             step *= BACKTRACK
             if step < 1e-18:

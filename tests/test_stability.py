@@ -199,6 +199,17 @@ def test_jordan_holder_cone():
         jordan_holder_cone(proj_point([(1, 0), (1, 1)]))
 
 
+def test_jordan_holder_cone_needs_no_nearest_point(monkeypatch):
+    # the hull alone decides: an unstable point is refused without a search
+    # for its destabilizer
+    def refuse(weights):
+        raise AssertionError("nearest point searched")
+    monkeypatch.setattr(stability, "nearest_point_of_hull", refuse)
+    with pytest.raises(GitkitError) as exc:
+        jordan_holder_cone(proj_point([(1, 0), (1, 1)]))
+    assert exc.value.code == "unstable"
+
+
 def test_graded_limit_along_jh_direction_is_polystable():
     ssnp = proj_point([(1, 0), (-1, 0), (0, 1)])
     for lam in jordan_holder_cone(ssnp):
@@ -279,6 +290,18 @@ def test_flow_handles_degenerate_destabilizing_face():
     assert abs(out.direction[0] + 1.0) < 1e-8
     assert abs(out.direction[1]) < 1e-8
     assert abs(out.slope + 1.0) < 1e-8
+
+
+def test_flow_converts_its_data_once(monkeypatch):
+    calls = []
+    real = stability._float_data
+    monkeypatch.setattr(stability, "_float_data", lambda x: calls.append(x) or real(x))
+    monkeypatch.setattr(stability, "kempf_ness", None)
+    x = proj_point([(1, 0), (2, 1), (Fraction(3, 2), Fraction(-1, 3))])
+    assert minimize_kempf_ness(x).outcome == "Escaped"
+    assert minimize_kempf_ness(proj_point([(1, 1), (-1, 0), (0, -1)])).outcome == "Converged"
+    assert len(calls) == 2
+    assert not hasattr(stability, "_soft_state")
 
 
 def test_flow_respects_initial_point():
