@@ -18,6 +18,7 @@ vector of S-edge labels, so the search is a DP over those vectors.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -255,18 +256,35 @@ class AssocReport:
     counterexample: tuple | None
 
 
+ASSOC_CASES_CAP = 10 ** 6
+
+
 def associativity_check(r: int, s: int, seed: int = 0, max_cases: int | None = None) -> AssocReport:
-    """Verify sum_K n_IJ^K n_KL^M = sum_K n_JL^K n_IK^M over boundary quadruples."""
+    """Verify sum_K n_IJ^K n_KL^M = sum_K n_JL^K n_IK^M over boundary quadruples.
+
+    Quadruples are numbered in `itertools.product` order; above max_cases,
+    `random.Random(seed)` samples max_cases of the numbers.  A check of more
+    than ASSOC_CASES_CAP quadruples is refused (too_large)."""
+    if r < 1 or r > 8:
+        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
+    if not 0 <= s <= r:
+        raise GitkitError("bad_input", "need 0 <= s <= r", {"r": r, "s": s})
+    if max_cases is not None and max_cases < 1:
+        raise GitkitError("bad_input", "max_cases must be at least 1", {"max_cases": max_cases})
+    m = math.comb(r, s)
+    picks = range(m ** 4)
+    cases = len(picks) if max_cases is None else min(len(picks), max_cases)
+    if cases > ASSOC_CASES_CAP:
+        raise GitkitError("too_large", f"associativity check capped at {ASSOC_CASES_CAP} "
+                          "quadruples", {"cases": cases, "cap": ASSOC_CASES_CAP})
+    if cases < len(picks):
+        picks = random.Random(seed).sample(picks, cases)
     subsets = list(itertools.combinations(range(1, r + 1), s))
     table = {(a, b): count_puzzles_all_k(r, a, b) for a in subsets for b in subsets}
-
-    quads = list(itertools.product(subsets, repeat=4))
-    if max_cases is not None and len(quads) > max_cases:
-        rng = random.Random(seed)
-        quads = rng.sample(quads, max_cases)
-    for i_s, j_s, l_s, m_s in quads:
+    for n in picks:
+        i_s, j_s, l_s, m_s = (subsets[n // m ** e % m] for e in (3, 2, 1, 0))
         lhs = sum(cnt * table[(k, l_s)].get(m_s, 0) for k, cnt in table[(i_s, j_s)].items())
         rhs = sum(cnt * table[(i_s, k)].get(m_s, 0) for k, cnt in table[(j_s, l_s)].items())
         if lhs != rhs:
-            return AssocReport(r, s, len(quads), False, (i_s, j_s, l_s, m_s))
-    return AssocReport(r, s, len(quads), True, None)
+            return AssocReport(r, s, cases, False, (i_s, j_s, l_s, m_s))
+    return AssocReport(r, s, cases, True, None)

@@ -6,9 +6,11 @@ shares no code with the filling enumeration.
 """
 
 import itertools
+import random
 
 import pytest
 
+from gitkit import puzzles
 from gitkit.characters import tensor_decompose
 from gitkit.lie import GitkitError
 from gitkit.puzzles import (
@@ -144,3 +146,47 @@ def test_associativity_sweep_rank4():
     assert report.passed
     assert report.counterexample is None
     assert report.cases == 40
+
+
+def test_associativity_rejects_bad_sizes():
+    for r, s, max_cases in [(3, -1, None), (3, 5, None), (3, 1, 0), (3, 1, -2)]:
+        with pytest.raises(GitkitError) as exc:
+            associativity_check(r, s, max_cases=max_cases)
+        assert exc.value.code == "bad_input", (r, s, max_cases)
+    with pytest.raises(GitkitError) as exc:
+        associativity_check(9, 1, max_cases=5)
+    assert exc.value.code == "bad_rank"
+    # 70^4 quadruples unsampled; a sample of them is cheap
+    with pytest.raises(GitkitError) as exc:
+        associativity_check(8, 4)
+    assert exc.value.code == "too_large"
+    with pytest.raises(GitkitError) as exc:
+        associativity_check(8, 4, max_cases=puzzles.ASSOC_CASES_CAP + 1)
+    assert exc.value.code == "too_large"
+    report = associativity_check(8, 4, seed=1, max_cases=5)
+    assert report.passed and report.cases == 5
+
+
+def test_associativity_samples_quadruples_in_product_order(monkeypatch):
+    # A table that is not associative, so the check stops at the first bad
+    # quadruple it draws; the earlier code sampled the list of all
+    # quadruples in itertools.product order, and the same draw must come up.
+    def fake(r, a, b):
+        return {c: (3 * sum(a) + 5 * sum(b) + sum(c)) % 4 for c in subsets}
+    monkeypatch.setattr(puzzles, "count_puzzles_all_k", fake)
+    subsets = list(itertools.combinations(range(1, 5), 2))
+    quads = list(itertools.product(subsets, repeat=4))
+    failures = 0
+    for seed in range(20):
+        for k in (1, 3, 40):
+            want = None
+            for i_s, j_s, l_s, m_s in random.Random(seed).sample(quads, k):
+                lhs = sum(n * fake(4, c, l_s).get(m_s, 0) for c, n in fake(4, i_s, j_s).items())
+                rhs = sum(n * fake(4, i_s, c).get(m_s, 0) for c, n in fake(4, j_s, l_s).items())
+                if lhs != rhs:
+                    want = (i_s, j_s, l_s, m_s)
+                    break
+            report = associativity_check(4, 2, seed=seed, max_cases=k)
+            assert report.counterexample == want and report.cases == k
+            failures += want is not None
+    assert failures > 20
