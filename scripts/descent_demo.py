@@ -6,6 +6,7 @@
 import argparse
 import math
 import random
+import sys
 from fractions import Fraction
 
 from gitkit.stability import (
@@ -52,15 +53,15 @@ def main():
         verdict = classify_stability(x)
         counts[verdict.verdict] += 1
         res = minimize_kempf_ness(x, tol=args.tol, max_iter=10 ** 5)
+        if not isinstance(res, Escaped if verdict.verdict == "Unstable" else Converged):
+            sys.exit(f"trial {k}: descent gave {res} on {verdict}")
         if verdict.verdict == "Unstable":
-            assert isinstance(res, Escaped), (k, verdict, res)
             ang = angle_to(verdict.lam_star, res.direction)
             worst_angle = max(worst_angle, ang)
             worst_slope = max(worst_slope, abs(res.slope - verdict.slope))
             line = (f"escaped  slope {res.slope:+.6f}"
                     f"  angle to lam* {ang:.2e}")
         else:
-            assert isinstance(res, Converged), (k, verdict, res)
             worst_residual = max(worst_residual, res.residual)
             line = (f"converged in {res.iterations} steps"
                     f"  |moment| {res.residual:.2e}")

@@ -336,6 +336,11 @@ def su2_invariant_dim(labels, scale: int = 1) -> int:
     if not isinstance(scale, Rational):
         raise GitkitError("bad_input", "scale must be an integer or a fraction",
                           {"scale": repr(scale)})
+    try:
+        labels = list(labels)
+    except TypeError:
+        raise GitkitError("bad_input", "labels must be a list of rational numbers",
+                          {"labels": repr(labels)}) from None
     scaled = []
     for l in labels:
         try:

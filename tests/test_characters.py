@@ -254,7 +254,7 @@ def test_su2_invariant_dim_scale():
 
 
 @pytest.mark.parametrize("labels, scale", [
-    (["a"], 1), ([float("nan")], 1), ([1], "x"), ([1], 0.5),
+    (["a"], 1), ([float("nan")], 1), ([1], "x"), ([1], 0.5), (5, 1), (None, 1),
 ])
 def test_su2_invariant_dim_rejects_bad_input(labels, scale):
     with pytest.raises(GitkitError) as exc:

@@ -7,8 +7,10 @@ two are played against each other on random supports.
 
 import json
 import math
+import os
 import random
 import runpy
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -452,6 +454,33 @@ def test_pinned_descent_demo_stdout(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", [str(DEMO), "--trials", "40"])
     runpy.run_path(str(DEMO), run_name="__main__")
     assert capsys.readouterr().out == PINS["descent_demo_trials_40"]
+
+
+# Makes every descent return a fixed Converged result, then runs the demo:
+# an unstable trial must then stop it with a nonzero exit, also under -O.
+WRONG_DESCENT = """
+import runpy, sys
+from gitkit import stability
+stability.minimize_kempf_ness = lambda x, **kw: stability.Converged((0.0,), 0.0, 0.0, 1)
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_descent_demo_checks_survive_python_O(tmp_path):
+    src = str(Path(stability.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    args = [str(DEMO), "--trials", "5"]
+    ok = subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True,
+                        cwd=tmp_path, env=env, timeout=300)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.endswith("agreed on every trial\n")
+    bad = subprocess.run([sys.executable, "-O", "-c", WRONG_DESCENT, *args],
+                         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+    assert bad.returncode == 1
+    assert "descent gave Converged" in bad.stderr
+    assert "agreed on every trial" not in bad.stdout
 
 
 # The flow and the exact verdicts as they were before the one-kernel change,
