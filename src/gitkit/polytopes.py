@@ -151,15 +151,10 @@ class Polytope:
         """
         r = self.rank
         act = {v: frozenset(self.active_facets(v)) for v in self.vertices}
-        sets = set(act.values())
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(list(sets), 2):
-                c = a & b
-                if c not in sets:
-                    sets.add(c)
-                    changed = True
+        sets: set = set()
+        for a in act.values():
+            sets |= {a & s for s in sets}
+            sets.add(a)
         if len(self.vertices) == 1:
             sets = {frozenset()}
         out = {}
