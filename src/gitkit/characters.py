@@ -339,8 +339,7 @@ def su2_invariant_dim(labels, scale: int = 1) -> int:
     try:
         labels = list(labels)
     except TypeError:
-        raise GitkitError("bad_input", "labels must be a list of rational numbers",
-                          {"labels": repr(labels)}) from None
+        raise GitkitError("bad_input", "labels must be iterable", {"labels": repr(labels)}) from None
     scaled = []
     for l in labels:
         try:

@@ -18,7 +18,6 @@ vector of S-edge labels, so the search is a DP over those vectors.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -42,6 +41,13 @@ def _validate_subset(r: int, s, name: str) -> tuple[int, ...]:
     if any(x < 1 or x > r for x in t):
         raise GitkitError("bad_subset", f"{name} must lie in 1..{r}", {name: list(t)})
     return t
+
+
+def _checked(r: int, *sets) -> list:
+    """The size and the boundary subsets I, J (and K) of a size-r puzzle, validated."""
+    if r < 1 or r > 8:
+        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
+    return [_validate_subset(r, t, name) for t, name in zip(sets, "IJK")]
 
 
 def _boundary_labels(r: int, i_set, j_set):
@@ -86,21 +92,14 @@ def _final_states(r: int, i_set, j_set) -> dict:
 
 def count_puzzles(r: int, i_set, j_set, k_set) -> int:
     """Number of legal fillings with the given boundary indicator sets."""
-    if r < 1 or r > 8:
-        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
-    i_set = _validate_subset(r, i_set, "I")
-    j_set = _validate_subset(r, j_set, "J")
-    k_set = _validate_subset(r, k_set, "K")
+    i_set, j_set, k_set = _checked(r, i_set, j_set, k_set)
     target = tuple(1 if k in k_set else 0 for k in range(1, r + 1))
     return _final_states(r, i_set, j_set).get(target, 0)
 
 
 def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
     """One DP pass with a free south boundary: counts for every K at once."""
-    if r < 1 or r > 8:
-        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
-    i_set = _validate_subset(r, i_set, "I")
-    j_set = _validate_subset(r, j_set, "J")
+    i_set, j_set = _checked(r, i_set, j_set)
     out = {}
     for svec, cnt in _final_states(r, i_set, j_set).items():
         if any(x == 2 for x in svec):
@@ -112,11 +111,7 @@ def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
 
 def enumerate_puzzles(r: int, i_set, j_set, k_set, limit: int | None = None) -> list[dict]:
     """Explicit fillings as edge-label dictionaries (keys 'U:i:j:NW' etc.)."""
-    if r < 1 or r > 8:
-        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
-    i_set = _validate_subset(r, i_set, "I")
-    j_set = _validate_subset(r, j_set, "J")
-    k_set = _validate_subset(r, k_set, "K")
+    i_set, j_set, k_set = _checked(r, i_set, j_set, k_set)
     nw, ne = _boundary_labels(r, i_set, j_set)
     target = tuple(1 if k in k_set else 0 for k in range(1, r + 1))
 
@@ -265,13 +260,13 @@ def associativity_check(r: int, s: int, seed: int = 0, max_cases: int | None = N
     Quadruples are numbered in `itertools.product` order; above max_cases,
     `random.Random(seed)` samples max_cases of the numbers.  A check of more
     than ASSOC_CASES_CAP quadruples is refused (too_large)."""
-    if r < 1 or r > 8:
-        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
+    _checked(r)
     if not 0 <= s <= r:
         raise GitkitError("bad_input", "need 0 <= s <= r", {"r": r, "s": s})
     if max_cases is not None and max_cases < 1:
         raise GitkitError("bad_input", "max_cases must be at least 1", {"max_cases": max_cases})
-    m = math.comb(r, s)
+    subsets = list(itertools.combinations(range(1, r + 1), s))
+    m = len(subsets)
     picks = range(m ** 4)
     cases = len(picks) if max_cases is None else min(len(picks), max_cases)
     if cases > ASSOC_CASES_CAP:
@@ -279,7 +274,6 @@ def associativity_check(r: int, s: int, seed: int = 0, max_cases: int | None = N
                           "quadruples", {"cases": cases, "cap": ASSOC_CASES_CAP})
     if cases < len(picks):
         picks = random.Random(seed).sample(picks, cases)
-    subsets = list(itertools.combinations(range(1, r + 1), s))
     table = {(a, b): count_puzzles_all_k(r, a, b) for a in subsets for b in subsets}
     for n in picks:
         i_s, j_s, l_s, m_s = (subsets[n // m ** e % m] for e in (3, 2, 1, 0))

@@ -88,11 +88,8 @@ def proj_point(weights, masses=None) -> ProjPoint:
 def moment_map(x: ProjPoint, shift: Weight | None = None) -> Weight:
     """Mass-weighted average of the support weights, minus an optional shift."""
     total = sum(c for _, c in x.support)
-    avg = [Fraction(0)] * x.rank
-    for w, c in x.support:
-        for k in range(x.rank):
-            avg[k] += Fraction(c) * Fraction(w[k])
-    out = tuple(rat(a / total) for a in avg)
+    out = tuple(rat(sum(Fraction(c) * Fraction(w[k]) for w, c in x.support) / total)
+                for k in range(x.rank))
     if shift is not None:
         out = wsub(out, weight(shift))
     return out
@@ -242,17 +239,10 @@ class HMSlope:
         return float(self.num) / math.sqrt(float(self.lam_normsq))
 
     def cmp(self, other: "HMSlope") -> int:
-        s1 = (self.num > 0) - (self.num < 0)
-        s2 = (other.num > 0) - (other.num < 0)
-        if s1 != s2:
-            return -1 if s1 < s2 else 1
-        lhs = self.num * self.num * other.lam_normsq
-        rhs = other.num * other.num * self.lam_normsq
-        if lhs == rhs:
-            return 0
-        if s1 >= 0:
-            return -1 if lhs < rhs else 1
-        return -1 if lhs > rhs else 1
+        # t -> t|t| is increasing, and maps num / |lam| to num |num| / |lam|^2
+        a = self.num * abs(self.num) / self.lam_normsq
+        b = other.num * abs(other.num) / other.lam_normsq
+        return (a > b) - (a < b)
 
 
 def hm_slope(x: ProjPoint, lam: Weight) -> HMSlope:
