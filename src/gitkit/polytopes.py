@@ -6,10 +6,11 @@ equations (<n,x> = off).  Nothing here is floating point, and all the
 linear algebra is one fraction-free Gauss-Jordan elimination of integer
 matrices (`_bareiss`).  `hull` scales the points to integers by the lcm of
 their denominators, finds the affine hull from their differences, projects
-the points onto the pivot coordinates, takes each d-subset's candidate
-normal as the kernel of its projected differences, and tests each distinct
-hyperplane against all points before lifting it back to a facet normal
-once.  Intended scale is rank <= 4 with a few dozen points.
+the points onto the pivot coordinates and finds the facets there by double
+description in integers (`_facet_rays`), whose work follows the rays it
+keeps rather than the number of d-subsets of the points; each normal is
+lifted back once.  Intended scale is rank <= 6 with up to a few hundred
+points (a rank-6 Kostant orbit has 720).
 """
 
 from __future__ import annotations
@@ -124,15 +125,15 @@ class Polytope:
         return tuple(i for i, (n, off) in enumerate(self.facets) if wdot(n, x) == off)
 
     def edges(self) -> list[tuple[Weight, Weight]]:
-        """Vertex pairs whose minimal common face is one-dimensional."""
-        r = self.rank
-        eq_rows = [n for n, _ in self.equations]
+        """Vertex pairs whose minimal common face is one-dimensional: a face
+        with exactly two vertices, so no third vertex lies on every facet that
+        both lie on (and they share at least dim - 1 facets)."""
+        act = [frozenset(self.active_facets(v)) for v in self.vertices]
         out = []
-        act = {v: set(self.active_facets(v)) for v in self.vertices}
-        for u, v in itertools.combinations(self.vertices, 2):
-            shared = act[u] & act[v]
-            if len(_bareiss(eq_rows + [self.facets[i][0] for i in shared])[1]) == r - 1:
-                out.append((u, v))
+        for a, b in itertools.combinations(range(len(act)), 2):
+            shared = act[a] & act[b]
+            if len(shared) >= self.dim - 1 and sum(shared <= s for s in act) == 2:
+                out.append((self.vertices[a], self.vertices[b]))
         return out
 
     def edge_frames(self) -> dict:
@@ -189,8 +190,66 @@ class Polytope:
         return hull([weight_from_json(v) for v in obj["vertices"]])
 
 
+def _facet_rays(proj, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """Facets of the hull of distinct integer points proj spanning Z^d (d >= 1):
+    each primitive inward normal m with the index of one point on its facet.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953) of the
+    pointed cone {(m, l) : <m, q> >= l for every point q}, whose extreme rays
+    are exactly the facets (so m != 0 on each).  It starts from the cone of
+    d+1 affinely independent points, whose rays are the columns of their
+    inverse, and adds one point's inequality at a time.  Rays are primitive
+    integer vectors kept with the bitset of their tight points; a positive and
+    a negative ray are combined only when adjacent: they share at least d-1
+    tight points and no third ray is tight on all of them (Fukuda and Prodon,
+    "Double description method revisited", 1996)."""
+    rows = [q + (-1,) for q in proj]
+    init = _bareiss(list(zip(*rows)))[1]
+    inv = _bareiss([list(rows[i]) + [int(a == b) for b in range(d + 1)]
+                    for a, i in enumerate(init)])[0]
+    seeded = sum(1 << i for i in init)
+    rays = []           # (primitive ray (m, l), bitset of tight points)
+    for a, i in enumerate(init):
+        x = [row[d + 1 + a] for row in inv]
+        g = gcd(*x)
+        rays.append(([v // g for v in x], seeded ^ 1 << i))
+    for k, row in enumerate(rows):
+        if seeded >> k & 1:
+            continue
+        keep, pos, neg = [], [], []
+        for x, z in rays:
+            s = sum(a * b for a, b in zip(x, row))
+            if s > 0:
+                keep.append((x, z))
+                pos.append((x, z, s))
+            elif s < 0:
+                neg.append((x, z, s))
+            else:
+                keep.append((x, z | 1 << k))
+        for xp, zp, sp in pos:
+            for xn, zn, sn in neg:
+                z = zp & zn
+                if z.bit_count() >= d - 1 and not any(
+                        w & z == z and w != zp and w != zn for _, w in rays):
+                    x = [sp * b - sn * a for a, b in zip(xp, xn)]
+                    g = gcd(*x)
+                    keep.append(([v // g for v in x], z | 1 << k))
+        rays = keep
+    out = []
+    for x, z in rays:
+        g = gcd(*x[:d])
+        out.append((tuple(v // g for v in x[:d]), (z & -z).bit_length() - 1))
+    return out
+
+
 def hull(points) -> Polytope:
-    """Convex hull of finitely many exact rational points."""
+    """Convex hull of finitely many exact rational points.
+
+    Facets come from `_facet_rays` on the points in pivot coordinates of
+    their affine hull; a point is a vertex when the normals of the facets
+    through it have rank dim.  The result is canonical (sorted vertices,
+    sorted primitive facet normals and equations), so it does not depend on
+    the order of the points or on how the facets were found."""
     pts = sorted({weight(p) for p in points})
     if not pts:
         raise GitkitError("empty_hull", "convex hull of no points", {})
@@ -221,32 +280,12 @@ def hull(points) -> Polytope:
         lift = [row[d:] for row in _bareiss([g + b for g, b in zip(gram, basis)])[0]]
 
     facets = {}
-    seen = set()
     inward = []         # (inward normal m, level): <m, q> >= level on proj
-    for idx in itertools.combinations(range(len(pts)), d) if d else ():
-        base = proj[idx[0]]
-        vecs = [[a - b for a, b in zip(proj[i], base)] for i in idx[1:]]
-        ker = _kernel(vecs, d)
-        if len(ker) != 1:
-            continue
-        m = ker[0]
-        g = gcd(*m)
-        if next(x for x in m if x) < 0:
-            g = -g
-        m = tuple(x // g for x in m)
-        level = sum(a * b for a, b in zip(m, base))
-        if (m, level) in seen:
-            continue
-        seen.add((m, level))
-        vals = [sum(a * b for a, b in zip(m, q)) for q in proj]
-        if min(vals) < level:
-            if max(vals) > level:
-                continue
-            m, level = tuple(-x for x in m), -level
-        inward.append((m, level))
+    for m, i in _facet_rays(proj, d) if d else ():
+        inward.append((m, sum(a * b for a, b in zip(m, proj[i]))))
         n = m if lift is None else primitive_integer(
             [sum(mb * row[j] for mb, row in zip(m, lift)) for j in range(r)])
-        facets[n] = wdot(n, pts[idx[0]])
+        facets[n] = wdot(n, pts[i])
     facet_list = tuple(sorted(facets.items()))
 
     verts = [p for p, q in zip(pts, proj)

@@ -17,6 +17,7 @@ vector of S-edge labels, so the search is a DP over those vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -274,11 +275,11 @@ def associativity_check(r: int, s: int, seed: int = 0, max_cases: int | None = N
                           "quadruples", {"cases": cases, "cap": ASSOC_CASES_CAP})
     if cases < len(picks):
         picks = random.Random(seed).sample(picks, cases)
-    table = {(a, b): count_puzzles_all_k(r, a, b) for a in subsets for b in subsets}
+    table = functools.cache(functools.partial(count_puzzles_all_k, r))   # rows on first read
     for n in picks:
         i_s, j_s, l_s, m_s = (subsets[n // m ** e % m] for e in (3, 2, 1, 0))
-        lhs = sum(cnt * table[(k, l_s)].get(m_s, 0) for k, cnt in table[(i_s, j_s)].items())
-        rhs = sum(cnt * table[(i_s, k)].get(m_s, 0) for k, cnt in table[(j_s, l_s)].items())
+        lhs = sum(cnt * table(k, l_s).get(m_s, 0) for k, cnt in table(i_s, j_s).items())
+        rhs = sum(cnt * table(i_s, k).get(m_s, 0) for k, cnt in table(j_s, l_s).items())
         if lhs != rhs:
             return AssocReport(r, s, cases, False, (i_s, j_s, l_s, m_s))
     return AssocReport(r, s, cases, True, None)

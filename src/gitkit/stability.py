@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -420,6 +421,10 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
     Exhausting max_iter raises.  The data are converted to floats once; each
     trial step is one `_psi` call, whose masses the escape check reuses.
     """
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not math.isfinite(tol) or tol <= 0):
+        raise GitkitError("bad_input", "tol must be a finite positive number",
+                          {"tol": repr(tol)})
     r = x.rank
     xi = _float_direction(xi0 if xi0 is not None else (0.0,) * r, r)
     ws, logc = _float_data(x)

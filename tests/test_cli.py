@@ -193,6 +193,16 @@ def test_blowup_degree_cap_exits_one(capsys):
                                "context": {"d": 100000, "e": 0}}
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_flow_tol_not_positive_is_bad_input(tol, capsys):
+    code, out, err = run(["stability", "flow", "--weights", "1,0;0,1;-1,-1",
+                          "--tol", tol, "--max-iter", "2000"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"code": "bad_input",
+                               "message": "tol must be a finite positive number",
+                               "context": {"tol": repr(float(tol))}}
+
+
 def test_box_point_cap_exits_one(capsys):
     code, out, err = run(["localize", "toric", "--points", "0,0;1,0;0,1",
                           "--box", "0:100000,0:100000"], capsys)

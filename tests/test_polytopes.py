@@ -4,12 +4,14 @@ tangent-cone identity."""
 import itertools
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gitkit.lie import (
     GitkitError,
+    Weight,
     primitive_integer,
     rat,
     wdot,
@@ -21,6 +23,8 @@ from gitkit.polytopes import (
     Polytope,
     _bareiss,
     _frame_index,
+    _kernel,
+    _sign_canonical,
     brianchon_gram_check,
     hull,
     is_delzant,
@@ -444,20 +448,22 @@ _COORD = st.one_of(st.integers(-6, 6),
 
 
 @st.composite
-def _point_sets(draw):
-    """Points of rank 1-4: general position, on a random affine line or
-    plane, or a single point; some of them repeated."""
-    r = draw(st.integers(1, 4))
+def _point_sets(draw, max_rank=4, min_points=1, max_points=8):
+    """Points of rank 1 to max_rank: general position, on a random affine
+    line or plane (min_points to max_points of them), or a single point; some
+    of them repeated."""
+    r = draw(st.integers(1, max_rank))
     vec = st.tuples(*[_COORD] * r)
     kind = draw(st.sampled_from(["general", "line", "plane", "single"]))
     if kind == "single":
         pts = [draw(vec)]
     elif kind == "general":
-        pts = draw(st.lists(vec, min_size=1, max_size=8))
+        pts = draw(st.lists(vec, min_size=min_points, max_size=max_points))
     else:
         base = draw(vec)
         gens = [draw(vec) for _ in range(1 if kind == "line" else 2)]
-        coeffs = draw(st.lists(st.tuples(*[_COORD] * len(gens)), min_size=1, max_size=7))
+        coeffs = draw(st.lists(st.tuples(*[_COORD] * len(gens)), min_size=min_points,
+                               max_size=max_points - 1))
         pts = [tuple(b + sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base))
                for cs in coeffs]
     pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))]
@@ -476,6 +482,132 @@ def test_hull_matches_fraction_reference_on_kostant_orbits():
         for lam in itertools.product(range(5, -1, -1), repeat=r):
             if all(lam[i] >= lam[i + 1] for i in range(r - 1)):
                 _assert_same_hull(weyl_orbit(lam, r))
+
+
+# ------------------------------------ double description vs the subset loop
+#
+# `_ref_subset_hull` is the previous `hull`, kept verbatim: it solved one
+# integer kernel per d-subset of the points, C(n, d) solves.  It is fast enough
+# for the larger sets the Fraction reference above cannot reach.  `_ref_edges`
+# is the previous `Polytope.edges`, one elimination per vertex pair.
+
+def _ref_subset_hull(points) -> Polytope:
+    """Convex hull of finitely many exact rational points."""
+    pts = sorted({weight(p) for p in points})
+    if not pts:
+        raise GitkitError("empty_hull", "convex hull of no points", {})
+    r = len(pts[0])
+    if any(len(p) != r for p in pts):
+        raise GitkitError("rank_mismatch", "hull points have mixed lengths", {})
+
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [[x.numerator * (scale // x.denominator) for x in p] for p in pts]
+    basis, pivots, _ = _bareiss([[a - b for a, b in zip(q, ipts[0])] for q in ipts[1:]])
+    d = len(pivots)
+
+    equations = []
+    for u in _kernel(basis, r):
+        n = primitive_integer(u)
+        n, _ = _sign_canonical(n, 0)
+        equations.append((n, rat(wdot(n, pts[0]))))
+    equations = tuple(sorted(equations))
+
+    # Integer points in the pivot coordinates, a full-dimensional set in Z^d.
+    # A linear form m on Z^d is the form <n, .> on the direction space for
+    # n = (G^-1 B)^T m, with B the reduced basis and G = B B^T; `lift` is
+    # G^-1 B scaled to integers (the identity when d = r).
+    proj = [tuple(q[c] for c in pivots) for q in ipts]
+    lift = None
+    if 0 < d < r:
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+        lift = [row[d:] for row in _bareiss([g + b for g, b in zip(gram, basis)])[0]]
+
+    facets = {}
+    seen = set()
+    inward = []         # (inward normal m, level): <m, q> >= level on proj
+    for idx in itertools.combinations(range(len(pts)), d) if d else ():
+        base = proj[idx[0]]
+        vecs = [[a - b for a, b in zip(proj[i], base)] for i in idx[1:]]
+        ker = _kernel(vecs, d)
+        if len(ker) != 1:
+            continue
+        m = ker[0]
+        g = gcd(*m)
+        if next(x for x in m if x) < 0:
+            g = -g
+        m = tuple(x // g for x in m)
+        level = sum(a * b for a, b in zip(m, base))
+        if (m, level) in seen:
+            continue
+        seen.add((m, level))
+        vals = [sum(a * b for a, b in zip(m, q)) for q in proj]
+        if min(vals) < level:
+            if max(vals) > level:
+                continue
+            m, level = tuple(-x for x in m), -level
+        inward.append((m, level))
+        n = m if lift is None else primitive_integer(
+            [sum(mb * row[j] for mb, row in zip(m, lift)) for j in range(r)])
+        facets[n] = wdot(n, pts[idx[0]])
+    facet_list = tuple(sorted(facets.items()))
+
+    verts = [p for p, q in zip(pts, proj)
+             if len(_bareiss([m for m, level in inward
+                              if sum(a * b for a, b in zip(m, q)) == level])[1]) == d]
+    return Polytope(tuple(sorted(verts)), facet_list, equations, d)
+
+
+
+def _ref_edges(self) -> list[tuple[Weight, Weight]]:
+    """Vertex pairs whose minimal common face is one-dimensional."""
+    r = self.rank
+    eq_rows = [n for n, _ in self.equations]
+    out = []
+    act = {v: set(self.active_facets(v)) for v in self.vertices}
+    for u, v in itertools.combinations(self.vertices, 2):
+        shared = act[u] & act[v]
+        if len(_bareiss(eq_rows + [self.facets[i][0] for i in shared])[1]) == r - 1:
+            out.append((u, v))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_point_sets(max_rank=5, min_points=6, max_points=16))
+def test_hull_and_edges_match_subset_reference(pts):
+    got, want = hull(pts), _ref_subset_hull(pts)
+    assert repr(got) == repr(want), pts
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json()), pts
+    assert got.edges() == _ref_edges(got), pts
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (3, 0), (3, 1), (0, 4)],
+    [(0, 0), (2, 0), (0, 1), (2, 1), (3, Fraction(1, 2))],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+    [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+    list(weyl_orbit((3, 1, 0, 0), 4)),
+    # square x square pyramid: the square over the apex lies on 4 = dim - 1
+    # facets, as an edge does, so only the vertex count tells its diagonals
+    [q + t for q in [(0, 0), (1, 0), (0, 1), (1, 1)]
+     for t in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]],
+])
+def test_edge_users_match_subset_reference(pts, monkeypatch):
+    h = hull(pts)
+    normal = (1,) + (2,) * (h.rank - 1)
+    level = (min(wdot(normal, v) for v in h.vertices) + max(wdot(normal, v) for v in h.vertices)) / 2
+    got = (h.edge_frames(), symplectic_cut(h, normal, level),
+           is_delzant(h) if h.dim == h.rank else None)
+    monkeypatch.setattr(Polytope, "edges", _ref_edges)
+    assert got == (h.edge_frames(), symplectic_cut(h, normal, level),
+                   is_delzant(h) if h.dim == h.rank else None)
+
+
+def test_kostant_rank5_and_rank6_permutahedra():
+    # the subset loop needs minutes for these (8.2 M subsets at rank 5)
+    h5 = kostant_polytope((4, 3, 2, 1, 0))
+    assert (len(h5.facets), len(h5.vertices), h5.dim) == (30, 120, 4)
+    h6 = kostant_polytope((5, 4, 3, 2, 1, 0))
+    assert (len(h6.facets), len(h6.vertices), h6.dim) == (62, 720, 5)
 
 
 def _leibniz(rows):

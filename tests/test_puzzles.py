@@ -6,6 +6,7 @@ shares no code with the filling enumeration.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -165,6 +166,19 @@ def test_associativity_rejects_bad_sizes():
     assert exc.value.code == "too_large"
     report = associativity_check(8, 4, seed=1, max_cases=5)
     assert report.passed and report.cases == 5
+
+
+def test_associativity_fills_only_the_rows_it_reads(monkeypatch):
+    # each sampled quadruple reads two rows and at most C(8,4) rows per side;
+    # the full table would be C(8,4)^2 = 4900 DP passes
+    calls = []
+    real = puzzles.count_puzzles_all_k
+    monkeypatch.setattr(puzzles, "count_puzzles_all_k",
+                        lambda r, a, b: calls.append((a, b)) or real(r, a, b))
+    report = associativity_check(8, 4, seed=1, max_cases=5)
+    assert report.passed and report.cases == 5
+    assert 0 < len(calls) <= 5 * (2 + 2 * math.comb(8, 4))
+    assert len(calls) == len(set(calls))
 
 
 def test_associativity_samples_quadruples_in_product_order(monkeypatch):

@@ -305,6 +305,15 @@ def test_flow_converts_its_data_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("tol", [0, 0.0, -1, float("nan"), float("inf"), True, "1e-6"])
+def test_flow_rejects_tol_that_is_not_positive(tol):
+    # a zero gradient would still run all max_iter iterations under tol = 0
+    with pytest.raises(GitkitError) as exc:
+        minimize_kempf_ness(proj_point([(1, 0), (0, 1), (-1, -1)]), tol=tol, max_iter=2000)
+    assert exc.value.code == "bad_input"
+    assert exc.value.context == {"tol": repr(tol)}
+
+
 def test_flow_respects_initial_point():
     x = proj_point([(1, 1), (-1, 0), (0, -1)])
     out = minimize_kempf_ness(x, xi0=(5.0, -3.0))
