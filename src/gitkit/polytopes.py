@@ -204,7 +204,7 @@ def _facet_rays(proj, d: int) -> list[tuple[tuple[int, ...], int]]:
     tight points and no third ray is tight on all of them (Fukuda and Prodon,
     "Double description method revisited", 1996)."""
     rows = [q + (-1,) for q in proj]
-    init = _bareiss(list(zip(*rows)))[1]
+    init = _bareiss(list(zip(*rows)))[1]     # the lex-first affine basis among the points
     inv = _bareiss([list(rows[i]) + [int(a == b) for b in range(d + 1)]
                     for a, i in enumerate(init)])[0]
     seeded = sum(1 << i for i in init)

@@ -594,7 +594,8 @@ def test_hull_and_edges_match_subset_reference(pts):
 def test_edge_users_match_subset_reference(pts, monkeypatch):
     h = hull(pts)
     normal = (1,) + (2,) * (h.rank - 1)
-    level = (min(wdot(normal, v) for v in h.vertices) + max(wdot(normal, v) for v in h.vertices)) / 2
+    vals = [wdot(normal, v) for v in h.vertices]
+    level = (min(vals) + max(vals)) / 2
     got = (h.edge_frames(), symplectic_cut(h, normal, level),
            is_delzant(h) if h.dim == h.rank else None)
     monkeypatch.setattr(Polytope, "edges", _ref_edges)
