@@ -73,12 +73,20 @@ def weight_to_json(w: Weight) -> list:
     return [fmt_rat(c) for c in w]
 
 
+def _pairs(a: Weight, b: Weight):
+    """Zip two weights of one rank; weights of different ranks are refused."""
+    if len(a) != len(b):
+        raise GitkitError("rank_mismatch", "weights have different lengths",
+                          {"lengths": [len(a), len(b)]})
+    return zip(a, b)
+
+
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(rat(x + y) for x, y in zip(a, b, strict=True))
+    return tuple(rat(x + y) for x, y in _pairs(a, b))
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(rat(x - y) for x, y in zip(a, b, strict=True))
+    return tuple(rat(x - y) for x, y in _pairs(a, b))
 
 
 def wneg(a: Weight) -> Weight:
@@ -90,7 +98,7 @@ def wscale(c, a: Weight) -> Weight:
 
 
 def wdot(a: Weight, b: Weight):
-    return rat(sum(x * y for x, y in zip(a, b, strict=True)))
+    return rat(sum(x * y for x, y in _pairs(a, b)))
 
 
 def wnorm_sq(a: Weight):

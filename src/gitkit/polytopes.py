@@ -9,8 +9,9 @@ their denominators, finds the affine hull from their differences, projects
 the points onto the pivot coordinates and finds the facets there by double
 description in integers (`_facet_rays`), whose work follows the rays it
 keeps rather than the number of d-subsets of the points; each normal is
-lifted back once.  Intended scale is rank <= 6 with up to a few hundred
-points (a rank-6 Kostant orbit has 720).
+lifted back once.  Vertices, edges and faces are read off one facet-vertex
+incidence kept as bitsets.  Intended scale is rank <= 6 with up to a few
+hundred points (a rank-6 Kostant orbit has 720).
 """
 
 from __future__ import annotations
@@ -89,14 +90,12 @@ def _frame_index(rows) -> int:
     return g
 
 
-def _sign_canonical(n: tuple[int, ...], off) -> tuple[tuple[int, ...], Fraction]:
-    """Flip an equation so its first nonzero normal entry is positive."""
-    for x in n:
-        if x != 0:
-            if x < 0:
-                return tuple(-y for y in n), -Fraction(off)
-            break
-    return n, Fraction(off)
+def _bits(z: int):
+    """Indices of the set bits of z, ascending."""
+    while z:
+        low = z & -z
+        yield low.bit_length() - 1
+        z ^= low
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,24 @@ class Polytope:
         x = weight(x)
         return tuple(i for i, (n, off) in enumerate(self.facets) if wdot(n, x) == off)
 
+    def _face_sets(self) -> tuple[list[int], set[int]]:
+        """The facet-vertex incidence as bitsets (bit j for self.vertices[j]):
+        each facet's vertex set, and every nonempty face's, which are those
+        sets closed under intersection plus the whole polytope."""
+        inc = [sum(1 << j for j, v in enumerate(self.vertices) if wdot(n, v) == off)
+               for n, off in self.facets]
+        sets = {(1 << len(self.vertices)) - 1}
+        for z in inc:
+            sets |= {z & s for s in sets}
+        sets.discard(0)
+        return inc, sets
+
     def edges(self) -> list[tuple[Weight, Weight]]:
-        """Vertex pairs whose minimal common face is one-dimensional: a face
-        with exactly two vertices, so no third vertex lies on every facet that
-        both lie on (and they share at least dim - 1 facets)."""
-        act = [frozenset(self.active_facets(v)) for v in self.vertices]
-        out = []
-        for a, b in itertools.combinations(range(len(act)), 2):
-            shared = act[a] & act[b]
-            if len(shared) >= self.dim - 1 and sum(shared <= s for s in act) == 2:
-                out.append((self.vertices[a], self.vertices[b]))
-        return out
+        """Vertex pairs that span a one-dimensional face, in lex order: the
+        faces with exactly two vertices."""
+        v = self.vertices
+        return sorted(tuple(v[j] for j in _bits(s)) for s in self._face_sets()[1]
+                      if s.bit_count() == 2)
 
     def edge_frames(self) -> dict:
         """Primitive integer directions of the edges leaving each vertex."""
@@ -145,29 +151,17 @@ class Polytope:
         return frames
 
     def faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
-        """All nonempty faces, the polytope itself included.
-
-        Returns (dim, vertex tuple, active facet indices), built by closing the
-        vertex active-sets under intersection.
-        """
-        r = self.rank
-        act = {v: frozenset(self.active_facets(v)) for v in self.vertices}
-        sets: set = set()
-        for a in act.values():
-            sets |= {a & s for s in sets}
-            sets.add(a)
-        if len(self.vertices) == 1:
-            sets = {frozenset()}
-        out = {}
+        """All nonempty faces, the polytope itself included, as sorted
+        (dim, vertex tuple, active facet indices): each set of `_face_sets`,
+        with the facets whose vertex sets contain it."""
         eq_rows = [n for n, _ in self.equations]
+        inc, sets = self._face_sets()
+        out = []
         for s in sets:
-            verts = tuple(sorted(v for v in self.vertices if s <= act[v]))
-            full = frozenset.intersection(*[act[v] for v in verts]) if verts else s
-            if verts in out:
-                continue
-            rank = len(_bareiss(eq_rows + [self.facets[i][0] for i in full])[1])
-            out[verts] = (r - rank, verts, tuple(sorted(full)))
-        return sorted(out.values())
+            active = tuple(i for i, z in enumerate(inc) if z & s == s)
+            rank = len(_bareiss(eq_rows + [self.facets[i][0] for i in active])[1])
+            out.append((self.rank - rank, tuple(self.vertices[j] for j in _bits(s)), active))
+        return sorted(out)
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
         r = self.rank
@@ -192,7 +186,7 @@ class Polytope:
 
 def _facet_rays(proj, d: int) -> list[tuple[tuple[int, ...], int]]:
     """Facets of the hull of distinct integer points proj spanning Z^d (d >= 1):
-    each primitive inward normal m with the index of one point on its facet.
+    each primitive inward normal m with the bitset of the points on its facet.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953) of the
     pointed cone {(m, l) : <m, q> >= l for every point q}, whose extreme rays
@@ -238,7 +232,7 @@ def _facet_rays(proj, d: int) -> list[tuple[tuple[int, ...], int]]:
     out = []
     for x, z in rays:
         g = gcd(*x[:d])
-        out.append((tuple(v // g for v in x[:d]), (z & -z).bit_length() - 1))
+        out.append((tuple(v // g for v in x[:d]), z))
     return out
 
 
@@ -246,10 +240,11 @@ def hull(points) -> Polytope:
     """Convex hull of finitely many exact rational points.
 
     Facets come from `_facet_rays` on the points in pivot coordinates of
-    their affine hull; a point is a vertex when the normals of the facets
-    through it have rank dim.  The result is canonical (sorted vertices,
-    sorted primitive facet normals and equations), so it does not depend on
-    the order of the points or on how the facets were found."""
+    their affine hull, each with the exact set of points on it; a point is a
+    vertex when the facets through it meet in that point alone.  The result
+    is canonical (sorted vertices, sorted primitive facet normals and
+    equations), so it does not depend on the order of the points or on how
+    the facets were found."""
     pts = sorted({weight(p) for p in points})
     if not pts:
         raise GitkitError("empty_hull", "convex hull of no points", {})
@@ -265,7 +260,8 @@ def hull(points) -> Polytope:
     equations = []
     for u in _kernel(basis, r):
         n = primitive_integer(u)
-        n, _ = _sign_canonical(n, 0)
+        if next(x for x in n if x) < 0:
+            n = tuple(-x for x in n)
         equations.append((n, rat(wdot(n, pts[0]))))
     equations = tuple(sorted(equations))
 
@@ -280,18 +276,17 @@ def hull(points) -> Polytope:
         lift = [row[d:] for row in _bareiss([g + b for g, b in zip(gram, basis)])[0]]
 
     facets = {}
-    inward = []         # (inward normal m, level): <m, q> >= level on proj
-    for m, i in _facet_rays(proj, d) if d else ():
-        inward.append((m, sum(a * b for a, b in zip(m, proj[i]))))
+    meet = [(1 << len(pts)) - 1] * len(pts)     # the points on every facet through each
+    for m, z in _facet_rays(proj, d) if d else ():
         n = m if lift is None else primitive_integer(
             [sum(mb * row[j] for mb, row in zip(m, lift)) for j in range(r)])
-        facets[n] = wdot(n, pts[i])
+        facets[n] = wdot(n, pts[next(_bits(z))])
+        for i in _bits(z):
+            meet[i] &= z
     facet_list = tuple(sorted(facets.items()))
 
-    verts = [p for p, q in zip(pts, proj)
-             if len(_bareiss([m for m, level in inward
-                              if sum(a * b for a, b in zip(m, q)) == level])[1]) == d]
-    return Polytope(tuple(sorted(verts)), facet_list, equations, d)
+    verts = [p for i, p in enumerate(pts) if meet[i] == 1 << i]
+    return Polytope(tuple(verts), facet_list, equations, d)
 
 
 def kostant_polytope(lam: Weight) -> Polytope:
@@ -406,6 +401,9 @@ def brianchon_gram_check(p: Polytope, samples: int = 200, seed: int = 0) -> BGRe
     """
     import random
 
+    if type(samples) is not int or samples < 1:
+        raise GitkitError("bad_input", "samples must be a positive integer",
+                          {"samples": repr(samples)})
     if p.dim != p.rank:
         raise GitkitError("not_full_dim", "tangent-cone identity needs a full-dimensional polytope",
                           {"dim": p.dim, "rank": p.rank})

@@ -203,6 +203,30 @@ def test_flow_tol_not_positive_is_bad_input(tol, capsys):
                                "context": {"tol": repr(float(tol))}}
 
 
+@pytest.mark.parametrize("argv, lengths", [
+    (["polytope", "cut", "--points", "0,0;1,0;0,1", "--normal", "1", "--level", "0"], [1, 2]),
+    (["stability", "slope", "--weights", "1,0;0,1;-1,-1", "--lambda", "1"], [2, 1]),
+    (["stability", "graded", "--weights", "1,0;0,1;-1,-1", "--lambda", "1"], [2, 1]),
+    (["stability", "moment", "--weights", "1,0;0,1;-1,-1", "--shift", "1"], [2, 1]),
+], ids=["cut-normal", "slope-lambda", "graded-lambda", "moment-shift"])
+def test_wrong_length_vector_is_rank_mismatch(argv, lengths, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "rank_mismatch",
+                               "message": "weights have different lengths",
+                               "context": {"lengths": lengths}}
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_bg_samples_not_positive_is_bad_input(samples, capsys):
+    code, out, err = run(["polytope", "bg", "--points", "0,0;1,0;0,1",
+                          "--samples", samples], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "bad_input",
+                               "message": "samples must be a positive integer",
+                               "context": {"samples": samples}}
+
+
 def test_box_point_cap_exits_one(capsys):
     code, out, err = run(["localize", "toric", "--points", "0,0;1,0;0,1",
                           "--box", "0:100000,0:100000"], capsys)

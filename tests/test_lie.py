@@ -82,8 +82,11 @@ def test_arithmetic():
 
 
 def test_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        wadd((1, 2), (1, 2, 3))
+    for op in (wadd, wsub, wdot):
+        with pytest.raises(GitkitError) as e:
+            op((1, 2), (1, 2, 3))
+        assert e.value.code == "rank_mismatch"
+        assert e.value.context == {"lengths": [2, 3]}
 
 
 def test_integrality():

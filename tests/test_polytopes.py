@@ -19,12 +19,12 @@ from gitkit.lie import (
     weyl_orbit,
     wsub,
 )
+from gitkit import polytopes
 from gitkit.polytopes import (
     Polytope,
     _bareiss,
     _frame_index,
     _kernel,
-    _sign_canonical,
     brianchon_gram_check,
     hull,
     is_delzant,
@@ -88,6 +88,14 @@ def test_hull_rejects_empty_and_mixed():
         hull([])
     with pytest.raises(GitkitError):
         hull([(1, 0), (1, 0, 0)])
+
+
+def test_wrong_length_vector_is_rank_mismatch():
+    for call in (lambda: triangle().contains((1,)),
+                 lambda: symplectic_cut(triangle(), (1,), 0)):
+        with pytest.raises(GitkitError) as e:
+            call()
+        assert e.value.code == "rank_mismatch"
 
 
 def test_contains_rational_points():
@@ -286,6 +294,13 @@ def test_tangent_cone_identity_on_samples():
         rep = brianchon_gram_check(shape, samples=60, seed=4)
         assert rep.passed, rep.failures
         assert rep.checked == 60
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.0, True, "10"])
+def test_tangent_cone_identity_needs_positive_integer_samples(samples):
+    with pytest.raises(GitkitError) as e:
+        brianchon_gram_check(triangle(), samples=samples)
+    assert e.value.code == "bad_input"
 
 
 def test_tangent_cone_identity_3d():
@@ -508,7 +523,7 @@ def _ref_subset_hull(points) -> Polytope:
     equations = []
     for u in _kernel(basis, r):
         n = primitive_integer(u)
-        n, _ = _sign_canonical(n, 0)
+        n, _ = _ref_sign_canonical(n, 0)
         equations.append((n, rat(wdot(n, pts[0]))))
     equations = tuple(sorted(equations))
 
@@ -609,6 +624,82 @@ def test_kostant_rank5_and_rank6_permutahedra():
     assert (len(h5.facets), len(h5.vertices), h5.dim) == (30, 120, 4)
     h6 = kostant_polytope((5, 4, 3, 2, 1, 0))
     assert (len(h6.facets), len(h6.vertices), h6.dim) == (62, 720, 5)
+
+
+# ------------------------------------ faces from the incidence vs the vertex scan
+#
+# `_ref_faces` is the previous `Polytope.faces`, kept verbatim: it closed the
+# vertices' active-facet sets under intersection and then scanned every vertex
+# for each set found.
+
+def _ref_faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
+    """All nonempty faces, the polytope itself included.
+
+    Returns (dim, vertex tuple, active facet indices), built by closing the
+    vertex active-sets under intersection.
+    """
+    r = self.rank
+    act = {v: frozenset(self.active_facets(v)) for v in self.vertices}
+    sets: set = set()
+    for a in act.values():
+        sets |= {a & s for s in sets}
+        sets.add(a)
+    if len(self.vertices) == 1:
+        sets = {frozenset()}
+    out = {}
+    eq_rows = [n for n, _ in self.equations]
+    for s in sets:
+        verts = tuple(sorted(v for v in self.vertices if s <= act[v]))
+        full = frozenset.intersection(*[act[v] for v in verts]) if verts else s
+        if verts in out:
+            continue
+        rank = len(_bareiss(eq_rows + [self.facets[i][0] for i in full])[1])
+        out[verts] = (r - rank, verts, tuple(sorted(full)))
+    return sorted(out.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_point_sets(max_rank=5, max_points=16))
+def test_faces_match_vertex_scan_reference(pts):
+    h = hull(pts)
+    assert h.faces() == _ref_faces(h), pts
+
+
+def test_permutahedra_face_counts():
+    # f-vectors (120, 240, 150, 30, 1) and (720, 1800, 1560, 540, 62, 1)
+    assert len(kostant_polytope((4, 3, 2, 1, 0)).faces()) == 541
+    assert len(kostant_polytope((5, 4, 3, 2, 1, 0)).faces()) == 4683
+
+
+def test_hull_makes_no_elimination_per_point(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return _bareiss(rows)
+
+    monkeypatch.setattr(polytopes, "_bareiss", counted)
+    kostant_polytope((1, 0, 0, 0, 0))       # 5 points
+    few = len(calls)
+    kostant_polytope((4, 3, 2, 1, 0))       # 120 points
+    assert len(calls) - few == few
+
+
+@pytest.mark.parametrize("pts, verts", [
+    # square: its centre, an edge midpoint and a point inside another edge
+    ([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0), (2, Fraction(1, 3))],
+     [(0, 0), (0, 2), (2, 0), (2, 2)]),
+    # cube: its centre, an edge midpoint and a facet centre
+    ([(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]
+     + [(1, 1, 1), (1, 0, 0), (1, 1, 0)],
+     [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]),
+    # a triangle in a plane of Q^3, with an edge midpoint and an inner point
+    ([(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 0, 1), (Fraction(1, 2), Fraction(1, 2), 1)],
+     [(0, 0, 1), (0, 2, 1), (2, 0, 1)]),
+])
+def test_hull_drops_points_inside_faces(pts, verts):
+    assert hull(pts).vertices == tuple(verts)
+    _assert_same_hull(pts)
 
 
 def _leibniz(rows):

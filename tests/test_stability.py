@@ -177,6 +177,15 @@ def test_hm_slope_exact_comparison():
         hm_slope(x, (0, 0))
 
 
+def test_wrong_length_direction_is_rank_mismatch():
+    x = proj_point([(1, 0), (0, 1), (-1, -1)])
+    for call in (lambda: hm_slope(x, (1,)), lambda: associated_graded(x, (1,)),
+                 lambda: moment_map(x, shift=(1,))):
+        with pytest.raises(GitkitError) as e:
+            call()
+        assert e.value.code == "rank_mismatch"
+
+
 def test_hm_slope_negative_ordering():
     x = proj_point([(-2, 0), (-1, -3)])
     a = hm_slope(x, (1, 0))     # max pairing -1
