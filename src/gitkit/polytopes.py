@@ -236,6 +236,16 @@ def _facet_rays(proj, d: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+def _point_set(points) -> tuple:
+    """The distinct points, sorted; none, or points of mixed lengths, are refused."""
+    pts = tuple(sorted({weight(p) for p in points}))
+    if not pts:
+        raise GitkitError("empty_hull", "convex hull of no points", {})
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise GitkitError("rank_mismatch", "hull points have mixed lengths", {})
+    return pts
+
+
 def hull(points) -> Polytope:
     """Convex hull of finitely many exact rational points.
 
@@ -245,12 +255,8 @@ def hull(points) -> Polytope:
     is canonical (sorted vertices, sorted primitive facet normals and
     equations), so it does not depend on the order of the points or on how
     the facets were found."""
-    pts = sorted({weight(p) for p in points})
-    if not pts:
-        raise GitkitError("empty_hull", "convex hull of no points", {})
+    pts = _point_set(points)
     r = len(pts[0])
-    if any(len(p) != r for p in pts):
-        raise GitkitError("rank_mismatch", "hull points have mixed lengths", {})
 
     scale = lcm(*(x.denominator for p in pts for x in p))
     ipts = [[x.numerator * (scale // x.denominator) for x in p] for p in pts]

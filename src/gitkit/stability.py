@@ -34,7 +34,7 @@ from .lie import (
     wnorm_sq,
     wsub,
 )
-from .polytopes import Polytope, _bareiss, hull
+from .polytopes import Polytope, _bareiss, _point_set, hull
 
 
 @dataclass(frozen=True)
@@ -170,32 +170,27 @@ def _project_origin_affine(points):
     return p, (Fraction(1) - sum(a),) + tuple(a)
 
 
+def _positive_projections(pts: tuple):
+    """Projections of the origin onto aff(T), for each affinely independent
+    T of at most rank+1 of the points, that lie strictly inside conv(T)."""
+    for size in range(1, min(len(pts), len(pts[0]) + 1) + 1):
+        for sub in itertools.combinations(pts, size):
+            res = _project_origin_affine(sub)
+            if res is not None and all(c > 0 for c in res[1]):
+                yield res[0]
+
+
 def nearest_point_of_hull(weights) -> tuple[Weight, Fraction]:
     """Exact closest point of conv(weights) to the origin, with its squared norm.
 
-    Every affinely independent subset of at most rank+1 points is projected
-    onto; candidates with nonnegative affine coefficients are convex
-    combinations, and the true nearest point always shows up among them.
-    """
-    return _nearest_point(tuple(sorted({weight(w) for w in weights})))
+    By Caratheodory it is the positive projection of least norm."""
+    return _nearest_point(_point_set(weights))
 
 
 @functools.lru_cache(maxsize=1024)
 def _nearest_point(pts: tuple) -> tuple[Weight, Fraction]:
-    r = len(pts[0])
-    best = None
-    for size in range(1, min(len(pts), r + 1) + 1):
-        for sub in itertools.combinations(pts, size):
-            res = _project_origin_affine(sub)
-            if res is None:
-                continue
-            p, coeffs = res
-            if any(c < 0 for c in coeffs):
-                continue
-            ns = Fraction(wnorm_sq(p))
-            if best is None or ns < best[1] or (ns == best[1] and p < best[0]):
-                best = (p, ns)
-    return best
+    ns, p = min((Fraction(wnorm_sq(q)), q) for q in _positive_projections(pts))
+    return p, ns
 
 
 def max_destabilizing(x: ProjPoint):
@@ -277,21 +272,15 @@ def jordan_holder_cone(x: ProjPoint) -> tuple:
 
 
 def critical_types(weights) -> set:
-    """Candidate critical values of the squared moment norm: for each subset
-    of weights, the hull point nearest the origin, kept when it lies in the
-    subset's relative interior."""
-    pts = tuple(sorted({weight(w) for w in weights}))
+    """Critical values of the squared moment norm (Kirwan, Ness): the points
+    beta nearest the origin in conv{w : <w, beta> = |beta|^2}, which by
+    Caratheodory are exactly the positive projections of the origin."""
+    pts = _point_set(weights)
     r = len(pts[0])
     if len(pts) > 12 or r > 4:
         raise GitkitError("too_large", "critical type scan capped at 12 weights, rank 4",
                           {"weights": len(pts), "rank": r})
-    out = set()
-    for size in range(1, len(pts) + 1):
-        for sub in itertools.combinations(pts, size):
-            p, _ns = nearest_point_of_hull(sub)
-            if hull(sub).contains_relint(p):
-                out.add(p)
-    return out
+    return set(_positive_projections(pts))
 
 
 def product(x: ProjPoint, y: ProjPoint) -> ProjPoint:

@@ -217,6 +217,17 @@ def test_wrong_length_vector_is_rank_mismatch(argv, lengths, capsys):
                                "context": {"lengths": lengths}}
 
 
+@pytest.mark.parametrize("weights, error, message", [
+    (";", "empty_hull", "convex hull of no points"),
+    ("1,0;0,1,2", "rank_mismatch", "hull points have mixed lengths"),
+    ("1,0;0", "rank_mismatch", "hull points have mixed lengths"),
+], ids=["none", "lengths-2-3", "lengths-2-1"])
+def test_bad_critical_type_weights_exit_one(weights, error, message, capsys):
+    code, out, err = run(["stability", "types", "--weights", weights], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": error, "message": message, "context": {}}
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_bg_samples_not_positive_is_bad_input(samples, capsys):
     code, out, err = run(["polytope", "bg", "--points", "0,0;1,0;0,1",

@@ -5,6 +5,7 @@ minimize_kempf_ness runs on floats.  Each side is tested alone and then the
 two are played against each other on random supports.
 """
 
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitkit.lie import GitkitError, rat, wadd, wdot, wneg, wsub
+from gitkit.lie import GitkitError, rat, wadd, wdot, weight, wneg, wnorm_sq, wsub
 from gitkit.polytopes import hull
 from gitkit.stability import (
     ARMIJO,
@@ -153,6 +154,10 @@ def test_nearest_point_cache_is_bounded():
     info = stability._nearest_point.cache_info()
     assert info.hits == hits + 1
     assert info.maxsize is not None and info.currsize <= info.maxsize
+    # critical types read the projections directly: no entry of the cache
+    # the verdict and the destabilizer share is touched or evicted
+    critical_types([(1, 0, 2), (0, 1, -1), (-1, -1, 0), (2, 2, 2), (0, 0, 1), (3, -1, 0)])
+    assert stability._nearest_point.cache_info() == info
 
 
 def test_max_destabilizing_matches_classify():
@@ -241,6 +246,20 @@ def test_critical_types_square():
 def test_critical_types_caps():
     with pytest.raises(GitkitError):
         critical_types([(i, 0) for i in range(13)])
+
+
+@pytest.mark.parametrize("call", [nearest_point_of_hull, critical_types])
+@pytest.mark.parametrize("weights, code", [
+    ([], "empty_hull"),
+    ([(1, 0), (0,)], "rank_mismatch"),
+    ([(1, 0), (0, 1, 2)], "rank_mismatch"),
+], ids=["none", "lengths-2-1", "lengths-2-3"])
+def test_bad_weight_sets_are_refused(call, weights, code):
+    with pytest.raises(GitkitError) as exc:
+        call(weights)
+    assert exc.value.code == code
+    if code == "rank_mismatch":
+        assert exc.value.message == "hull points have mixed lengths"
 
 
 def test_product_segre():
@@ -407,6 +426,97 @@ def _subsets(draw):
 def test_project_origin_affine_matches_fraction_reference(pts):
     got = stability._project_origin_affine(pts)
     assert repr(got) == repr(_reference_project_origin_affine(pts)), pts
+
+
+# ------------------------------- critical types: positive projections vs subsets
+#
+# The subset walk below is the previous `critical_types`, and the subset
+# scan the previous `_nearest_point`, kept verbatim apart from the _ref_
+# names and the `stability.` prefix.  The walk runs a nearest point and a hull for each of the 2^n
+# subsets, so the drawn sets stay small: up to 12 weights in rank 1 and
+# up to 7 in ranks 2-4.
+
+def _ref_critical_types(weights) -> set:
+    """Candidate critical values of the squared moment norm: for each subset
+    of weights, the hull point nearest the origin, kept when it lies in the
+    subset's relative interior."""
+    pts = tuple(sorted({weight(w) for w in weights}))
+    r = len(pts[0])
+    if len(pts) > 12 or r > 4:
+        raise GitkitError("too_large", "critical type scan capped at 12 weights, rank 4",
+                          {"weights": len(pts), "rank": r})
+    out = set()
+    for size in range(1, len(pts) + 1):
+        for sub in itertools.combinations(pts, size):
+            p, _ns = nearest_point_of_hull(sub)
+            if hull(sub).contains_relint(p):
+                out.add(p)
+    return out
+
+
+def _ref_nearest_point(pts: tuple) -> tuple:
+    r = len(pts[0])
+    best = None
+    for size in range(1, min(len(pts), r + 1) + 1):
+        for sub in itertools.combinations(pts, size):
+            res = stability._project_origin_affine(sub)
+            if res is None:
+                continue
+            p, coeffs = res
+            if any(c < 0 for c in coeffs):
+                continue
+            ns = Fraction(wnorm_sq(p))
+            if best is None or ns < best[1] or (ns == best[1] and p < best[0]):
+                best = (p, ns)
+    return best
+
+
+def _weight_sets(rng, count):
+    """Weight sets of rank 1-4, integer or p/q: general, mirrored through the
+    origin, or on an affine line (many ties among the pairings)."""
+    for i in range(count):
+        r = 1 + i % 4
+        n = rng.randint(1, 12 if r == 1 else 7)
+        def coord():
+            if rng.random() < 0.5:
+                return rng.randint(-3, 3)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        kind = rng.choice(["general", "mirrored", "line"])
+        if kind == "line":
+            base, step = [coord() for _ in range(r)], [coord() for _ in range(r)]
+            ws = [tuple(rat(b + t * d) for b, d in zip(base, step))
+                  for t in (rng.randint(-3, 3) for _ in range(n))]
+        elif kind == "mirrored":
+            half = [tuple(rat(coord()) for _ in range(r)) for _ in range(max(1, n // 2))]
+            ws = half + [wneg(w) for w in half]
+        else:
+            ws = [tuple(rat(coord()) for _ in range(r)) for _ in range(n)]
+        yield ws
+
+
+def test_critical_types_match_subset_walk():
+    for ws in _weight_sets(random.Random(16), 64):
+        types = critical_types(ws)
+        assert types == _ref_critical_types(ws), ws
+        pts = tuple(sorted(set(ws)))
+        got = nearest_point_of_hull(ws)
+        assert repr(got) == repr(_ref_nearest_point(pts)), ws
+        assert got[0] == min(types, key=lambda p: (wnorm_sq(p), p))
+    # twelve weights are within the cap
+    assert len(critical_types([(i, 0) for i in range(12)])) == 12
+
+
+def test_critical_types_are_kirwan_ness_critical():
+    # beyond the subset walk's reach: each beta is the point nearest the
+    # origin of the hull of the weights on <w, beta> = |beta|^2
+    rng = random.Random(4)
+    ws = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(12)]
+    types = critical_types(ws)
+    assert len(types) == 322        # as the subset walk gives, in 40 s
+    for beta in types:
+        level = [w for w in ws if wdot(w, beta) == wnorm_sq(beta)]
+        assert nearest_point_of_hull(level)[0] == beta, beta
+    assert nearest_point_of_hull(ws)[0] == min(types, key=lambda p: (wnorm_sq(p), p))
 
 
 # ------------------------------------------------ pins and the earlier flow code
