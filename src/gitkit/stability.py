@@ -100,6 +100,14 @@ def orbit_moment_polytope(x: ProjPoint) -> Polytope:
     return hull(x.weights)
 
 
+def _float(x, what: str) -> float:
+    """float(x), or a coded error when x is past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise GitkitError("float_overflow", f"{what} is beyond float range", {}) from None
+
+
 @dataclass(frozen=True)
 class Stable:
     verdict: str = "Stable"
@@ -125,7 +133,7 @@ class Unstable:
 
     @property
     def slope(self) -> float:
-        return -math.sqrt(float(self.slope_sq))
+        return -math.sqrt(_float(self.slope_sq, "slope_sq"))
 
 
 def verdict_to_json(v) -> dict:
@@ -183,14 +191,39 @@ def _positive_projections(pts: tuple):
 def nearest_point_of_hull(weights) -> tuple[Weight, Fraction]:
     """Exact closest point of conv(weights) to the origin, with its squared norm.
 
-    By Caratheodory it is the positive projection of least norm."""
+    Wolfe's nearest-point method (Math. Programming 11, 1976), in exact
+    arithmetic, where it is finite and returns the unique nearest point."""
     return _nearest_point(_point_set(weights))
 
 
 @functools.lru_cache(maxsize=1024)
 def _nearest_point(pts: tuple) -> tuple[Weight, Fraction]:
-    ns, p = min((Fraction(wnorm_sq(q)), q) for q in _positive_projections(pts))
-    return p, ns
+    # x is the projection of the origin onto the span of the corral, the
+    # weights that hold it in the relative interior of their hull, each with
+    # its barycentric coefficient
+    _, x = min((wnorm_sq(q), q) for q in pts)
+    corral = {x: Fraction(1)}
+    while True:
+        xx = wnorm_sq(x)
+        xw, w = min((wdot(x, q), q) for q in pts)
+        if xw >= xx:
+            return x, Fraction(xx)
+        # <x, w> < |x|^2 puts w off the corral's span, and the projection onto
+        # the larger span gives w a positive coefficient
+        corral[w] = Fraction(0)
+        while True:
+            res = _project_origin_affine(tuple(corral))
+            if res is None:
+                raise GitkitError("internal", "nearest point corral is affinely dependent",
+                                  {"corral": [weight_to_json(q) for q in corral]})
+            y, coeffs = res
+            if all(c > 0 for c in coeffs):
+                x, corral = y, dict(zip(corral, coeffs))
+                break
+            # walk from x toward y until a coefficient reaches 0; drop those that do
+            theta = min(lam / (lam - c) for lam, c in zip(corral.values(), coeffs) if c <= 0)
+            corral = {q: lam + theta * (c - lam) for (q, lam), c in zip(corral.items(), coeffs)}
+            corral = {q: lam for q, lam in corral.items() if lam > 0}
 
 
 def max_destabilizing(x: ProjPoint):
@@ -232,7 +265,16 @@ class HMSlope:
 
     @property
     def value(self) -> float:
-        return float(self.num) / math.sqrt(float(self.lam_normsq))
+        try:
+            v = float(self.num) / math.sqrt(float(self.lam_normsq))
+        except (OverflowError, ZeroDivisionError):
+            v = math.inf
+        if math.isfinite(v):
+            return v
+        # a part is past float range, though the value may not be: take the
+        # root of its exact square
+        root = math.sqrt(_float(self.num * self.num / self.lam_normsq, "slope"))
+        return -root if self.num < 0 else root
 
     def cmp(self, other: "HMSlope") -> int:
         # t -> t|t| is increasing, and maps num / |lam| to num |num| / |lam|^2
@@ -298,12 +340,12 @@ def product(x: ProjPoint, y: ProjPoint) -> ProjPoint:
 
 def _float_data(x: ProjPoint):
     """Float weights and log-masses of a point, for the kernel below."""
-    return ([[float(c) for c in w] for w, _ in x.support],
-            [math.log(float(c)) for _, c in x.support])
+    return ([[_float(c, "weight") for c in w] for w, _ in x.support],
+            [math.log(_float(c, "mass")) for _, c in x.support])
 
 
 def _float_direction(xi, r: int) -> tuple:
-    if len(xi := tuple(float(v) for v in xi)) != r:
+    if len(xi := tuple(_float(v, "direction") for v in xi)) != r:
         raise GitkitError("rank_mismatch", "direction length does not match rank",
                           {"rank": r, "xi": len(xi)})
     return xi

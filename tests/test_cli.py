@@ -203,6 +203,27 @@ def test_flow_tol_not_positive_is_bad_input(tol, capsys):
                                "context": {"tol": repr(float(tol))}}
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["classify", "--weights", "1e200,0;1e200,1"], "slope_sq"),
+    (["destab", "--weights", "1e200,0;1e200,1"], "slope_sq"),
+    (["slope", "--weights", "1e400,0;-1,0", "--lambda", "1,0"], "slope"),
+    (["flow", "--weights", "1e400,0;-1,0"], "weight"),
+    (["kn", "--weights", "1e400,0;-1,0", "--xi", "0,0"], "weight"),
+], ids=["classify", "destab", "slope", "flow", "kn"])
+def test_float_overflow_exits_one(argv, what, capsys):
+    code, out, err = run(["stability", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "float_overflow",
+                               "message": f"{what} is beyond float range", "context": {}}
+
+
+def test_slope_of_a_tiny_direction_is_finite(capsys):
+    # |lam|^2 = 1e-400 is 0.0 as a float; the slope itself is 1
+    code, out, _ = run(["stability", "slope", "--weights", "1,0;-1,0",
+                        "--lambda", "1e-200,0"], capsys)
+    assert code == 0 and json.loads(out)["value"] == 1.0
+
+
 @pytest.mark.parametrize("argv, lengths", [
     (["polytope", "cut", "--points", "0,0;1,0;0,1", "--normal", "1", "--level", "0"], [1, 2]),
     (["stability", "slope", "--weights", "1,0;0,1;-1,-1", "--lambda", "1"], [2, 1]),

@@ -519,6 +519,114 @@ def test_critical_types_are_kirwan_ness_critical():
     assert nearest_point_of_hull(ws)[0] == min(types, key=lambda p: (wnorm_sq(p), p))
 
 
+# ------------------------------- nearest point: Wolfe's method vs the projection scan
+#
+# `_ref_least_projection` is the previous `_nearest_point` body, the least
+# (norm^2, p) of the positive projections, kept verbatim apart from the name
+# and the `stability.` prefix.  It makes n^(r+1) eliminations, so it checks
+# draws of up to 14 rank-4 weights; larger draws are checked against the
+# exact optimality certificate below.
+
+def _ref_least_projection(pts: tuple) -> tuple:
+    ns, p = min((Fraction(wnorm_sq(q)), q) for q in stability._positive_projections(pts))
+    return p, ns
+
+
+def _unstable_weights(rng, n, r=4):
+    """n integer weights in [-5, 5]^r, all strictly on one side of a random
+    hyperplane through the origin, so the origin lies outside their hull."""
+    v = (0,) * r
+    while not any(v):
+        v = tuple(rng.randint(-3, 3) for _ in range(r))
+    ws = []
+    while len(ws) < n:
+        w = tuple(rng.randint(-5, 5) for _ in range(r))
+        if wdot(w, v) > 0:
+            ws.append(w)
+    return ws
+
+
+def _certify_nearest(ws, p, ns):
+    """p is the point of conv(ws) nearest the origin: no weight lies below
+    the level <w, p> = |p|^2, and p is the projection of the origin onto
+    some affinely independent weights on that level (the Fraction reference
+    solve), with positive barycentric coefficients."""
+    assert ns == wnorm_sq(p) and all(wdot(w, p) >= ns for w in ws)
+    level = sorted({weight(w) for w in ws if wdot(w, p) == ns})
+    for size in range(1, len(p) + 2):
+        for sub in itertools.combinations(level, size):
+            res = _reference_project_origin_affine(sub)
+            if res is not None and res[0] == p and all(c > 0 for c in res[1]):
+                return
+    raise AssertionError(f"{p} is not a positive projection onto its level")
+
+
+def test_nearest_point_matches_least_projection():
+    rng = random.Random(17)
+    draws = list(_weight_sets(rng, 64))
+    draws += [_unstable_weights(rng, n) for n in range(1, 15)]
+    draws += [[tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(n)]
+              for n in (10, 12, 14)]
+    for ws in draws:
+        pts = tuple(sorted(set(ws)))
+        got = stability._nearest_point.__wrapped__(pts)
+        assert repr(got) == repr(_ref_least_projection(pts)), ws
+
+
+def test_nearest_point_is_certified_on_large_draws():
+    rng = random.Random(40)
+    for n in range(15, 41):
+        ws = _unstable_weights(rng, n)
+        p, ns = nearest_point_of_hull(ws)
+        assert ns > 0
+        _certify_nearest(ws, p, ns)
+
+
+@pytest.mark.parametrize("ws, expect", [
+    ([(1, 2, 3), (2, 1, 3), (-1, 4, 3), (4, -1, 3), (0, 3, 3)],
+     ((Fraction(3, 2), Fraction(3, 2), 3), Fraction(27, 2))),
+    ([(2, -1, 0, 1), (-4, 2, 0, -2), (6, -3, 0, 3), (-2, 1, 0, -1)], ((0, 0, 0, 0), 0)),
+    ([(3, 0), (5, 0), (9, 0), (4, 0)], ((3, 0), 9)),
+    ([(2, -1), (-2, 1), (1, 3), (0, 5)], ((0, 0), 0)),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 2, 1), (1, 3, 2)], ((0, 0, 0), 0)),
+    ([(3, -1, 2, Fraction(1, 2))], ((3, -1, 2, Fraction(1, 2)), Fraction(57, 4))),
+    ([(0, 0)], ((0, 0), 0)),
+    ([(1, 1), (2, 0), (1, 1), (0, 2), (2, 0)], ((1, 1), 2)),
+], ids=["line-3d", "line-through-origin", "line-axis", "origin-on-edge",
+        "origin-on-edge-3d", "one-weight", "one-zero-weight", "pooled-duplicates"])
+def test_nearest_point_degenerate_hulls(ws, expect):
+    got = nearest_point_of_hull(ws)
+    assert got == expect
+    pts = tuple(sorted(set(ws)))
+    assert repr(got) == repr(_ref_least_projection(pts)) == repr(_ref_nearest_point(pts))
+    # a point whose weights repeat pools their masses, not their geometry
+    assert max_destabilizing(proj_point(ws, [1] * len(ws))) == (
+        None if got[1] == 0 else Unstable(lam_star=wneg(got[0]), slope_sq=got[1]))
+
+
+def test_nearest_point_work_is_bounded(monkeypatch):
+    # the projection scan made 760 098 eliminations on 40 rank-4 weights
+    calls = []
+    project = stability._project_origin_affine
+
+    def counted(points):
+        calls.append(len(points))
+        return project(points)
+    monkeypatch.setattr(stability, "_project_origin_affine", counted)
+    stability._nearest_point.cache_clear()
+    x = proj_point(_unstable_weights(random.Random(17), 40))
+    v = classify_stability(x)
+    assert isinstance(v, Unstable) and max_destabilizing(x) == v
+    assert 0 < len(calls) <= 200 and max(calls) <= x.rank + 1
+
+
+def test_dependent_corral_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(stability, "_project_origin_affine", lambda points: None)
+    with pytest.raises(GitkitError) as err:
+        stability._nearest_point.__wrapped__(((1, -1), (1, 1), (5, 0)))
+    assert err.value.code == "internal"
+
+
 # ------------------------------------------------ pins and the earlier flow code
 #
 # tests/stability_pinned.json holds the repr of every result on three fixed
