@@ -4,8 +4,10 @@ A projective point is summarized by its support: the list of torus weights
 carrying nonzero coordinates, each with a positive mass (squared coordinate
 size).  Every exact question (classification, worst destabilizer, critical
 types) reduces to rational convex geometry on those weights; the descent
-solver is the one deliberately floating-point piece (one kernel, `_psi`),
-and the tests play the two routes against each other.
+solver is the one deliberately floating-point piece, one kernel in two
+halves: `_psi_value` for every Armijo trial and `_psi_gradient` for the
+masses and gradient of the accepted one.  The tests play the two routes
+against each other.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy
 
@@ -340,8 +343,11 @@ def product(x: ProjPoint, y: ProjPoint) -> ProjPoint:
 
 def _float_data(x: ProjPoint):
     """Float weights and log-masses of a point, for the kernel below."""
-    return ([[_float(c, "weight") for c in w] for w, _ in x.support],
-            [math.log(_float(c, "mass")) for _, c in x.support])
+    ws = [[_float(c, "weight") for c in w] for w, _ in x.support]
+    cs = [_float(c, "mass") for _, c in x.support]
+    if 0.0 in cs:
+        raise GitkitError("float_underflow", "mass is below float range", {})
+    return ws, [math.log(c) for c in cs]
 
 
 def _float_direction(xi, r: int) -> tuple:
@@ -351,16 +357,31 @@ def _float_direction(xi, r: int) -> tuple:
     return xi
 
 
-def _psi(ws, logc, xi):
-    """Value, softmax masses and gradient of psi at xi, from float weights
-    and log-masses; the one float kernel of the flow."""
-    exps = [lc - 2.0 * sum(a * b for a, b in zip(w, xi)) for w, lc in zip(ws, logc)]
+def _psi_value(ws, logc, xi):
+    """Value of psi at xi from float weights and log-masses, with the shifted
+    exponentials and their sum that `_psi_gradient` turns into masses and
+    gradient; the half of the float kernel that every Armijo trial runs."""
+    exps = [lc - 2.0 * sum(map(mul, w, xi)) for w, lc in zip(ws, logc)]
     m = max(exps)
     raw = [math.exp(e - m) for e in exps]
     z = sum(raw)
+    return 0.5 * (m + math.log(z)), raw, z
+
+
+def _psi_gradient(cols, raw, z):
+    """Softmax masses and gradient of psi from one `_psi_value` call's raw
+    exponentials and sum; cols holds the weight coordinates axis by axis."""
     masses = [v / z for v in raw]
-    grad = tuple(-sum(w[k] * mj for w, mj in zip(ws, masses)) for k in range(len(xi)))
-    return 0.5 * (m + math.log(z)), masses, grad
+    return masses, tuple(-sum(map(mul, col, masses)) for col in cols)
+
+
+def _psi(ws, cols, logc, xi):
+    """Value, softmax masses and gradient of psi at a caller's xi; a value
+    past float range is a coded error, not a NaN."""
+    value, raw, z = _psi_value(ws, logc, xi)
+    if not math.isfinite(value):
+        raise GitkitError("float_overflow", "psi is beyond float range", {})
+    return (value, *_psi_gradient(cols, raw, z))
 
 
 def kempf_ness(x: ProjPoint, xi) -> tuple[float, tuple]:
@@ -370,7 +391,7 @@ def kempf_ness(x: ProjPoint, xi) -> tuple[float, tuple]:
     The gradient is minus the softmax-weighted average of the weights, i.e.
     minus the moment map of the flowed point."""
     ws, logc = _float_data(x)
-    value, _, grad = _psi(ws, logc, _float_direction(xi, x.rank))
+    value, _, grad = _psi(ws, list(zip(*ws)), logc, _float_direction(xi, x.rank))
     return value, grad
 
 
@@ -449,23 +470,31 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
     fails the flow continues to twice the radius, where the face separation
     is exponentially sharper, and tries again.  The direction matches the
     destabilizer convention (it points away from the weight hull).
-    Exhausting max_iter raises.  The data are converted to floats once; each
-    trial step is one `_psi` call, whose masses the escape check reuses.
+    Exhausting max_iter raises.  The data are converted to floats once.  A
+    trial step runs only `_psi_value`; the accepted one then runs
+    `_psi_gradient` on the same exponentials, so masses and gradient, which
+    the escape check and the next step read, are built once per iteration.
     """
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
             or not math.isfinite(tol) or tol <= 0):
         raise GitkitError("bad_input", "tol must be a finite positive number",
                           {"tol": repr(tol)})
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise GitkitError("bad_input", "max_iter must be a positive integer",
+                          {"max_iter": repr(max_iter)})
     r = x.rank
     xi = _float_direction(xi0 if xi0 is not None else (0.0,) * r, r)
     ws, logc = _float_data(x)
+    cols = list(zip(*ws))
     check_at = 2.0 * ESCAPE_RADIUS
-    val, masses, grad = _psi(ws, logc, xi)
+    val, masses, grad = _psi(ws, cols, logc, xi)
+    gn = math.sqrt(sum(map(mul, grad, grad)))
+    if not math.isfinite(gn):
+        raise GitkitError("float_overflow", "gradient is beyond float range", {})
     for it in range(1, max_iter + 1):
-        gn = math.sqrt(sum(g * g for g in grad))
         if gn < tol:
             return Converged(xi=xi, value=val, residual=gn, iterations=it)
-        radius = math.sqrt(sum(v * v for v in xi))
+        radius = math.sqrt(sum(map(mul, xi, xi)))
         if radius >= check_at:
             p = _certified_nearest(ws, masses)
             if p is not None:
@@ -476,9 +505,11 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
         step = INIT_STEP
         while True:
             cand = tuple(a - step * g for a, g in zip(xi, grad))
-            cval, cmasses, cgrad = _psi(ws, logc, cand)
+            cval, raw, z = _psi_value(ws, logc, cand)
             if cval <= val - ARMIJO * step * gn * gn:
-                xi, val, masses, grad = cand, cval, cmasses, cgrad
+                xi, val = cand, cval
+                masses, grad = _psi_gradient(cols, raw, z)
+                gn = math.sqrt(sum(map(mul, grad, grad)))
                 break
             step *= BACKTRACK
             if step < 1e-18:
@@ -488,5 +519,4 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
                                   "descent line search stalled above tolerance",
                                   {"residual": gn})
     raise GitkitError("descent_exhausted",
-                      f"no verdict within {max_iter} iterations",
-                      {"residual": math.sqrt(sum(g * g for g in grad))})
+                      f"no verdict within {max_iter} iterations", {"residual": gn})

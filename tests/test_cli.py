@@ -209,12 +209,27 @@ def test_flow_tol_not_positive_is_bad_input(tol, capsys):
     (["slope", "--weights", "1e400,0;-1,0", "--lambda", "1,0"], "slope"),
     (["flow", "--weights", "1e400,0;-1,0"], "weight"),
     (["kn", "--weights", "1e400,0;-1,0", "--xi", "0,0"], "weight"),
-], ids=["classify", "destab", "slope", "flow", "kn"])
+    (["kn", "--weights", "1,0;-1,0", "--xi", "1e308,0"], "psi"),
+    (["flow", "--weights", "1,0;-1,0", "--xi0", "1e308,0"], "psi"),
+    (["flow", "--weights", "1e200,0;-1,0"], "gradient"),
+], ids=["classify", "destab", "slope", "flow", "kn", "kn-psi", "flow-psi", "flow-gradient"])
 def test_float_overflow_exits_one(argv, what, capsys):
     code, out, err = run(["stability", *argv], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"code": "float_overflow",
                                "message": f"{what} is beyond float range", "context": {}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kn", "--weights", "1,0;-1,0", "--masses", "1e-400,1", "--xi", "0,0"],
+    ["flow", "--weights", "1,0;-1,0", "--masses", "1e-400,1"],
+], ids=["kn", "flow"])
+def test_mass_below_float_range_exits_one(argv, capsys):
+    # the mass rounds to 0.0, whose log was a "math domain error"
+    code, out, err = run(["stability", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "float_underflow",
+                               "message": "mass is below float range", "context": {}}
 
 
 def test_slope_of_a_tiny_direction_is_finite(capsys):

@@ -342,6 +342,34 @@ def test_flow_rejects_tol_that_is_not_positive(tol):
     assert exc.value.context == {"tol": repr(tol)}
 
 
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "10", None])
+def test_flow_rejects_max_iter_that_is_not_a_positive_integer(max_iter):
+    with pytest.raises(GitkitError) as exc:
+        minimize_kempf_ness(proj_point([(1, 0), (0, 1), (-1, -1)]), max_iter=max_iter)
+    assert exc.value.code == "bad_input"
+    assert exc.value.context == {"max_iter": repr(max_iter)}
+
+
+def test_flow_builds_gradient_once_per_accepted_step(monkeypatch):
+    # the pinned thin-simplex point: every Armijo trial evaluates psi's value,
+    # only the start and the accepted steps build masses and gradient
+    x = proj_point([(Fraction(-3, 4), Fraction(-7, 8), Fraction(5, 8)), (Fraction(1, 2), 1, -1),
+                    (1, 1, Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))],
+                   [4, 4, 1, 2])
+    counts = {"_psi_value": 0, "_psi_gradient": 0}
+    for name in counts:
+        real = getattr(stability, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(stability, name, counted)
+    out = minimize_kempf_ness(x, tol=1e-6)
+    assert out.outcome == "Converged" and out.iterations == 4324
+    assert counts == {"_psi_value": 7608, "_psi_gradient": 4324}
+    assert repr(out) == repr(_ref_minimize_kempf_ness(x, tol=1e-6))
+
+
 def test_flow_respects_initial_point():
     x = proj_point([(1, 1), (-1, 0), (0, -1)])
     out = minimize_kempf_ness(x, xi0=(5.0, -3.0))
