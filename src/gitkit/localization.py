@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
 from .lie import (
@@ -196,9 +197,23 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
        moves toward are not stored, and the walk goes on.
 
     The kept steps of a walk are thus a range k_lo..k_hi, found by floor division.
-    A box of more than BOX_POINTS_CAP points is refused (too_large)."""
+
+    The expansion is linear in the numerator and the cuts depend only on the
+    monomial, den, dir and the box, so each run of consecutive terms with
+    equal (den, dir) is walked once, from the sum of its numerators.  Entries
+    that sum to zero are walked too, so every monomial is still first reached
+    along the same path as term by term, and the output keeps its order.
+
+    A box entry must be a (lo, hi) pair of integers with lo <= hi (bad_box),
+    and a box of more than BOX_POINTS_CAP points is refused (too_large)."""
     r = series.rank
-    box = [(int(lo), int(hi)) for lo, hi in box]
+    if not isinstance(box, (tuple, list)):
+        raise GitkitError("bad_box", "a box must be a list of (lo, hi) pairs", {})
+    for entry in box:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
+            raise GitkitError("bad_box", "each box entry must be a (lo, hi) pair of integers",
+                              {"entry": repr(entry)})
     if len(box) != r:
         raise GitkitError("rank_mismatch", "box length does not match rank",
                           {"rank": r, "box": len(box)})
@@ -209,32 +224,39 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
         raise GitkitError("too_large", f"box expansion capped at {BOX_POINTS_CAP} box points",
                           {"points": points, "cap": BOX_POINTS_CAP})
     out: dict = {}
-    for t in series.terms:
-        scale = math.lcm(*(Fraction(x).denominator for x in t.dir))
-        xi = tuple(int(x * scale) for x in t.dir)
+    for (den, direction), run in itertools.groupby(series.terms, lambda t: (t.den, t.dir)):
+        cur: dict = {}
+        for t in run:
+            for w, c in t.num.terms.items():
+                cur[w] = cur.get(w, 0) + c
+        scale = math.lcm(*(Fraction(x).denominator for x in direction))
+        xi = tuple(int(x * scale) for x in direction)
         minval = sum(min(x * lo, x * hi) for x, (lo, hi) in zip(xi, box))
         # stages[j]: the (i, s, m) with s * v[i] >= m required before factor j
         stages = [[(i, s, s * side) for i, (lo, hi) in enumerate(box)
                    for s, side in ((1, lo), (-1, hi))
-                   if all(s * b[i] <= 0 for b in t.den[j:])]
-                  for j in range(len(t.den) + 1)]
-        cur = {w: c for w, c in t.num.terms.items()
-               if sum(x * y for x, y in zip(w, xi)) >= minval
-               and all(s * w[i] >= m for i, s, m in stages[0])}
-        for b, bounds in zip(t.den, stages[1:]):
-            step = sum(x * y for x, y in zip(b, xi))   # strictly negative
+                   if all(s * b[i] <= 0 for b in den[j:])]
+                  for j in range(len(den) + 1)]
+        cur = {w: c for w, c in cur.items()
+               if sum(map(mul, w, xi)) >= minval and all(s * w[i] >= m for i, s, m in stages[0])}
+        for b, bounds in zip(den, stages[1:]):
+            step = sum(map(mul, b, xi))   # strictly negative
+            # the bounds b moves: a == s * b[i] != 0 (w met the others at stage j)
+            cuts = [(i, s * b[i], s, m) for i, s, m in bounds if b[i]]
             nxt: dict = {}
             for w, c in cur.items():
-                k_lo, k_hi = 0, (minval - sum(x * y for x, y in zip(w, xi))) // step
-                for i, s, m in bounds:   # a == 0: w met this bound at stage j
-                    a = s * b[i]
+                k_lo, k_hi = 0, (minval - sum(map(mul, w, xi))) // step
+                for i, a, s, m in cuts:
                     if a > 0:    # b moves toward the side: skip the steps short of it
                         k_lo = max(k_lo, -((s * w[i] - m) // a))
-                    elif a < 0:  # b moves away from it: the early break
+                    else:        # b moves away from it: the early break
                         k_hi = min(k_hi, (m - s * w[i]) // a)
-                for k in range(k_lo, k_hi + 1):
-                    v = tuple(x + k * y for x, y in zip(w, b))
+                if k_lo > k_hi:
+                    continue
+                v = tuple(x + k_lo * y for x, y in zip(w, b)) if k_lo else w
+                for _ in range(k_hi - k_lo + 1):
                     nxt[v] = nxt.get(v, 0) + c
+                    v = tuple(map(add, v, b))
             cur = nxt
         for w, c in cur.items():
             out[w] = out.get(w, 0) + c
@@ -243,7 +265,7 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
 
 def _generic_direction(r: int, edge_dirs) -> tuple:
     for k in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        xi = tuple(Fraction(k ** i) for i in range(r))
+        xi = tuple(k ** i for i in range(r))
         if all(wdot(e, xi) != 0 for e in edge_dirs):
             return xi
     raise GitkitError("no_direction", "could not find a generic direction", {})
@@ -397,7 +419,7 @@ def weyl_via_localization(lam) -> tuple[ConeSeries, LaurentPoly]:
         raise GitkitError("not_dominant", "weight entries must be weakly decreasing",
                           {"weight": list(lam)})
     dens = tuple(sorted(tuple(-x for x in a) for a in positive_roots(r)))
-    xi = tuple(Fraction(r - i) for i in range(r))
+    xi = tuple(r - i for i in range(r))
     series = ConeSeries(tuple(Term(LaurentPoly.monomial(w, sign), dens, xi)
                               for w, sign in weyl_alternant(lam)))
     lo, hi = min(lam), max(lam)

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from .lie import (
     GitkitError,
@@ -109,19 +110,27 @@ class Polytope:
     def rank(self) -> int:
         return len(self.vertices[0])
 
-    def contains(self, x: Weight) -> bool:
+    def _point(self, x: Weight) -> Weight:
+        """x as exact rationals, refused (rank_mismatch) unless of this rank."""
         x = weight(x)
-        return (all(wdot(n, x) == off for n, off in self.equations)
-                and all(wdot(n, x) >= off for n, off in self.facets))
+        if len(x) != self.rank:
+            raise GitkitError("rank_mismatch", "weights have different lengths",
+                              {"lengths": [self.rank, len(x)]})
+        return x
+
+    def contains(self, x: Weight) -> bool:
+        x = self._point(x)
+        return (all(sum(map(mul, n, x)) == off for n, off in self.equations)
+                and all(sum(map(mul, n, x)) >= off for n, off in self.facets))
 
     def contains_relint(self, x: Weight) -> bool:
-        x = weight(x)
-        return (all(wdot(n, x) == off for n, off in self.equations)
-                and all(wdot(n, x) > off for n, off in self.facets))
+        x = self._point(x)
+        return (all(sum(map(mul, n, x)) == off for n, off in self.equations)
+                and all(sum(map(mul, n, x)) > off for n, off in self.facets))
 
     def active_facets(self, x: Weight) -> tuple[int, ...]:
-        x = weight(x)
-        return tuple(i for i, (n, off) in enumerate(self.facets) if wdot(n, x) == off)
+        x = self._point(x)
+        return tuple(i for i, (n, off) in enumerate(self.facets) if sum(map(mul, n, x)) == off)
 
     def _face_sets(self) -> tuple[list[int], set[int]]:
         """The facet-vertex incidence as bitsets (bit j for self.vertices[j]):

@@ -1,13 +1,14 @@
 """Tests for fixed-point cone series: rational identities vs box expansions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gitkit import localization
-from gitkit.characters import LaurentPoly, weyl_character
+from gitkit.characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
 from gitkit.lie import GitkitError, wadd, wdot
 from gitkit.localization import (
     ConeSeries,
@@ -177,6 +178,23 @@ def test_expand_in_box_errors():
     with pytest.raises(GitkitError) as exc:
         expand_in_box(s, ((2, -2),))
     assert exc.value.code == "bad_box"
+
+
+@pytest.mark.parametrize("box", [
+    ((1.5, 2),), ((Fraction(3, 2), 2),), ((True, 2),), ((0, "2"),), ((None, 2),),
+    (3,), ((0,),), ((0, 1, 2),), "0:2", None,
+])
+def test_expand_in_box_refuses_malformed_box(box):
+    # a bound of 1.5 was truncated to 1, so t^1 came back from [1.5, 2]
+    with pytest.raises(GitkitError) as exc:
+        expand_in_box(vertex_sum(hull([(0,), (2,)])), box)
+    assert exc.value.code == "bad_box"
+
+
+def test_expand_in_box_accepts_lists_of_pairs():
+    s = vertex_sum(hull([(0,), (2,)]))
+    assert expand_in_box(s, [[1, 2]]).terms == expand_in_box(s, ((1, 2),)).terms == {
+        (1,): 1, (2,): 1}
 
 
 def test_expand_in_box_caps_box_points():
@@ -359,12 +377,63 @@ def _reference_expand_in_box(series, box):
     return LaurentPoly(r, out)
 
 
+def _ref_per_term_expand_in_box(series, box):
+    """expand_in_box as it was before runs of terms with equal (den, dir) were
+    merged: every term is walked on its own."""
+    r = series.rank
+    box = [(int(lo), int(hi)) for lo, hi in box]
+    if len(box) != r:
+        raise GitkitError("rank_mismatch", "box length does not match rank",
+                          {"rank": r, "box": len(box)})
+    if any(lo > hi for lo, hi in box):
+        raise GitkitError("bad_box", "box bounds must satisfy lo <= hi", {})
+    out: dict = {}
+    for t in series.terms:
+        scale = math.lcm(*(Fraction(x).denominator for x in t.dir))
+        xi = tuple(int(x * scale) for x in t.dir)
+        minval = sum(min(x * lo, x * hi) for x, (lo, hi) in zip(xi, box))
+        # stages[j]: the (i, s, m) with s * v[i] >= m required before factor j
+        stages = [[(i, s, s * side) for i, (lo, hi) in enumerate(box)
+                   for s, side in ((1, lo), (-1, hi))
+                   if all(s * b[i] <= 0 for b in t.den[j:])]
+                  for j in range(len(t.den) + 1)]
+        cur = {w: c for w, c in t.num.terms.items()
+               if sum(x * y for x, y in zip(w, xi)) >= minval
+               and all(s * w[i] >= m for i, s, m in stages[0])}
+        for b, bounds in zip(t.den, stages[1:]):
+            step = sum(x * y for x, y in zip(b, xi))   # strictly negative
+            nxt: dict = {}
+            for w, c in cur.items():
+                k_lo, k_hi = 0, (minval - sum(x * y for x, y in zip(w, xi))) // step
+                for i, s, m in bounds:   # a == 0: w met this bound at stage j
+                    a = s * b[i]
+                    if a > 0:    # b moves toward the side: skip the steps short of it
+                        k_lo = max(k_lo, -((s * w[i] - m) // a))
+                    elif a < 0:  # b moves away from it: the early break
+                        k_hi = min(k_hi, (m - s * w[i]) // a)
+                for k in range(k_lo, k_hi + 1):
+                    v = tuple(x + k * y for x, y in zip(w, b))
+                    nxt[v] = nxt.get(v, 0) + c
+            cur = nxt
+        for w, c in cur.items():
+            out[w] = out.get(w, 0) + c
+    return LaurentPoly(r, out)
+
+
 def _assert_same_expansion(series, box):
     new, ref = expand_in_box(series, box), _reference_expand_in_box(series, box)
     assert new == ref
     assert new.to_json() == ref.to_json()
     assert list(new.terms.items()) == list(ref.terms.items())   # same insertion order
     return new
+
+
+def _draw_box(draw, r):
+    box = []
+    for _ in range(r):
+        lo = draw(st.integers(-6, 4))
+        box.append((lo, lo + draw(st.sampled_from([0, 0, 1, 3, 7]))))
+    return tuple(box)
 
 
 @st.composite
@@ -383,17 +452,56 @@ def _series_in_box(draw):
             den += [den[i] for i in draw(st.lists(st.integers(0, len(den) - 1), max_size=2))]
         num = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=4))
         terms.append(Term(LaurentPoly(r, num), tuple(den), xi))
-    box = []
-    for _ in range(r):
-        lo = draw(st.integers(-6, 4))
-        box.append((lo, lo + draw(st.sampled_from([0, 0, 1, 3, 7]))))
-    return ConeSeries(tuple(terms)), tuple(box)
+    return ConeSeries(tuple(terms)), _draw_box(draw, r)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_series_in_box())
 def test_expand_in_box_matches_reference(case):
     _assert_same_expansion(*case)
+
+
+@st.composite
+def _series_in_runs(draw):
+    """Rank 1-4 series whose terms come in runs that share (den, dir): one to
+    three shapes with repeated factors, drawn as three to five runs that may
+    interleave (D1, D2, D1), the first run at least two terms long.  Later
+    terms of a run may cancel some monomials of the term before them, in any
+    order.  Numerator exponents lie in or next to the box, so most sums reach
+    it."""
+    r = draw(st.integers(1, 4))
+    box = _draw_box(draw, r)
+    exps = st.one_of(st.tuples(*[st.integers(lo, hi) for lo, hi in box]),
+                     st.tuples(*[st.integers(lo - 2, hi + 2) for lo, hi in box]))
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        xi = draw(st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))] * r))
+        steps = st.tuples(*[st.integers(-2, 2)] * r).filter(lambda b: wdot(b, xi) < 0)
+        den = draw(st.lists(steps, max_size=3)) if any(xi) else []
+        if den:   # repeat some factors
+            den += [den[i] for i in draw(st.lists(st.integers(0, len(den) - 1), max_size=1))]
+        shapes.append((tuple(den), xi))
+    terms = []
+    for shape in draw(st.lists(st.integers(0, len(shapes) - 1), min_size=3, max_size=5)):
+        den, xi = shapes[shape]
+        prev: dict = {}
+        for _ in range(draw(st.integers(1 if terms else 2, 3))):
+            num = {w: -c for w, c in draw(st.permutations(list(prev.items())))
+                   if draw(st.booleans())}
+            num.update(draw(st.dictionaries(exps, st.integers(-3, 3), max_size=3)))
+            prev = num
+            terms.append(Term(LaurentPoly(r, num), den, xi))
+    return ConeSeries(tuple(terms)), box
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_series_in_runs())
+def test_expand_in_box_merges_runs_like_term_by_term(case):
+    new = _assert_same_expansion(*case)
+    per_term = _ref_per_term_expand_in_box(*case)
+    assert new == per_term
+    assert new.to_json() == per_term.to_json()
+    assert list(new.terms.items()) == list(per_term.terms.items())   # same insertion order
 
 
 # the highest weights of the benchmark's polytopes catalog
@@ -434,3 +542,46 @@ def test_weyl_series_matches_direct_character_on_c10():
     # the reference's expansion is the direct character on all of c10 too
     for lam in _C10:
         assert weyl_via_localization(lam)[1] == weyl_character(lam)
+
+
+def test_weyl_series_terms_match_fraction_direction_on_c10():
+    # the shared direction is built from ints; Term canonicalizes a Fraction
+    # direction to the same ints, so the series is the one built from Fractions
+    for lam in _C10:
+        r = len(lam)
+        dens = tuple(sorted(tuple(-x for x in a) for a in positive_roots(r)))
+        xi = tuple(Fraction(r - i) for i in range(r))
+        want = ConeSeries(tuple(Term(LaurentPoly.monomial(w, sign), dens, xi)
+                                for w, sign in weyl_alternant(lam)))
+        got = weyl_via_localization(lam)[0]
+        assert repr(got) == repr(want), lam
+        assert got.to_json() == want.to_json(), lam
+
+
+def _ref_generic_direction(r, edge_dirs):
+    for k in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        xi = tuple(Fraction(k ** i) for i in range(r))
+        if all(wdot(e, xi) != 0 for e in edge_dirs):
+            return xi
+    raise GitkitError("no_direction", "could not find a generic direction", {})
+
+
+@pytest.mark.parametrize("pts", [
+    [(1, 2)],
+    [(0,), (2,)],
+    [(0, 0), (1, 0), (0, 1)],
+    [(0, 0), (2, 0), (0, 2)],
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+    [(0, 0), (3, 0), (3, 1), (0, 4)],
+    [(-1, -1), (2, -1), (2, 2), (-1, 2)],
+    [(0, 0), (2, 0)],
+    [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 2)],
+])
+def test_vertex_sum_matches_fraction_direction(pts, monkeypatch):
+    p = hull(pts)
+    got = vertex_sum(p)
+    assert all(type(x) is int for x in localization._generic_direction(p.rank, [(1,) * p.rank]))
+    monkeypatch.setattr(localization, "_generic_direction", _ref_generic_direction)
+    want = vertex_sum(p)
+    assert repr(got) == repr(want)
+    assert got.to_json() == want.to_json()

@@ -98,6 +98,13 @@ def test_wrong_length_vector_is_rank_mismatch():
         assert e.value.code == "rank_mismatch"
 
 
+def test_wrong_length_vector_reports_both_lengths():
+    with pytest.raises(GitkitError) as e:
+        triangle().contains((1,))
+    assert (e.value.code, e.value.message, e.value.context) == (
+        "rank_mismatch", "weights have different lengths", {"lengths": [2, 1]})
+
+
 def test_contains_rational_points():
     h = triangle()
     assert h.contains((Fraction(1, 3), Fraction(1, 3)))
@@ -584,6 +591,46 @@ def _ref_edges(self) -> list[tuple[Weight, Weight]]:
         if len(_bareiss(eq_rows + [self.facets[i][0] for i in shared])[1]) == r - 1:
             out.append((u, v))
     return out
+
+
+def _ref_contains(self, x: Weight) -> bool:
+    x = weight(x)
+    return (all(wdot(n, x) == off for n, off in self.equations)
+            and all(wdot(n, x) >= off for n, off in self.facets))
+
+
+def _ref_contains_relint(self, x: Weight) -> bool:
+    x = weight(x)
+    return (all(wdot(n, x) == off for n, off in self.equations)
+            and all(wdot(n, x) > off for n, off in self.facets))
+
+
+def _ref_active_facets(self, x: Weight) -> tuple[int, ...]:
+    x = weight(x)
+    return tuple(i for i, (n, off) in enumerate(self.facets) if wdot(n, x) == off)
+
+
+@st.composite
+def _hull_and_probes(draw):
+    """A drawn hull with probe points: its vertices and their centroid (on
+    the boundary and in the relative interior), plus integer and p/q points
+    of the same rank."""
+    h = hull(draw(_point_sets()))
+    vec = st.tuples(*[_COORD] * h.rank)
+    centroid = tuple(sum(Fraction(v[i]) for v in h.vertices) / len(h.vertices)
+                     for i in range(h.rank))
+    probes = list(h.vertices) + [centroid] + draw(st.lists(vec, max_size=12))
+    return h, probes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_hull_and_probes())
+def test_facet_tests_match_reference(case):
+    h, probes = case
+    for x in probes:
+        assert h.contains(x) == _ref_contains(h, x), x
+        assert h.contains_relint(x) == _ref_contains_relint(h, x), x
+        assert h.active_facets(x) == _ref_active_facets(h, x), x
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
