@@ -265,12 +265,11 @@ _GROUPS = {
 }
 
 
-def _op(group, op, func, flags, run, name=None):
+def _op(group, op, func, flags, run):
     """One row of COMMANDS.  `func` names the library function as
     "module.name"; `run(f, args)` calls it as `f` and returns the JSON value
-    to print (a string prints as is, None prints nothing).  `name` is the
-    REGISTRY key when it is not the function's name."""
-    return name or func.partition(".")[2], group, op, func, flags, run
+    to print (a string prints as is, None prints nothing)."""
+    return group, op, func, flags, run
 
 
 COMMANDS = (
@@ -367,7 +366,7 @@ COMMANDS = (
          _opt("--eval", _weight_arg), _opt("--box", _box_arg)],
         lambda f, a: _toric(f(_polytope(a, "polytope")), a)),
     _op("localize", "eval", "localization.evaluate", [_req("--point", _weight_arg), _IN],
-        lambda f, a: {"value": lie.fmt_rat(f(_series(a), a.point))}, name="series_evaluate"),
+        lambda f, a: {"value": lie.fmt_rat(f(_series(a), a.point))}),
     _op("localize", "expand", "localization.expand_in_box", [_req("--box", _box_arg), _IN],
         lambda f, a: {"expansion": f(_series(a), a.box).to_json()}),
     _op("localize", "p1", "localization.p1_kn_identity", [_req("--d", int)],
@@ -377,11 +376,8 @@ COMMANDS = (
     _op("localize", "weyl", "localization.weyl_via_localization", [_LAMBDA],
         lambda f, a: _weyl_series(*f(a.lam))),
 
-    _op("examples", None, "examples.run_all", [], lambda f, a: _examples(*f()),
-        name="examples_report"),
+    _op("examples", None, "examples.run_all", [], lambda f, a: _examples(*f())),
 )
-
-REGISTRY = {name: (group, op) for name, group, op, *_ in COMMANDS}
 
 
 def _library(func: str):
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="gitkit", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
     ops = {}
-    for _, group, op, func, flags, run in COMMANDS:
+    for group, op, func, flags, run in COMMANDS:
         if group not in ops:
             sp = groups.add_parser(group, help=_GROUPS[group])
             if op is not None:

@@ -9,9 +9,10 @@ their denominators, finds the affine hull from their differences, projects
 the points onto the pivot coordinates and finds the facets there by double
 description in integers (`_facet_rays`), whose work follows the rays it
 keeps rather than the number of d-subsets of the points; each normal is
-lifted back once.  Vertices, edges and faces are read off one facet-vertex
-incidence kept as bitsets.  Intended scale is rank <= 6 with up to a few
-hundred points (a rank-6 Kostant orbit has 720).
+lifted back once.  Each polytope builds its face lattice once, as bitsets,
+from its facet-vertex incidence alone; edges, face dimensions and tangent
+cones are read off those bits.  Intended scale is rank <= 6 with up to a
+few hundred points (a rank-6 Kostant orbit has 720).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
@@ -132,23 +134,23 @@ class Polytope:
         x = self._point(x)
         return tuple(i for i, (n, off) in enumerate(self.facets) if sum(map(mul, n, x)) == off)
 
-    def _face_sets(self) -> tuple[list[int], set[int]]:
-        """The facet-vertex incidence as bitsets (bit j for self.vertices[j]):
-        each facet's vertex set, and every nonempty face's, which are those
-        sets closed under intersection plus the whole polytope."""
-        inc = [sum(1 << j for j, v in enumerate(self.vertices) if wdot(n, v) == off)
-               for n, off in self.facets]
+    @cached_property
+    def _lattice(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The face lattice, built once: each facet's vertex set as a bitset
+        (bit j for self.vertices[j]), and every nonempty face's: those sets
+        closed under intersection, plus the whole polytope."""
+        inc = tuple(sum(1 << j for j, v in enumerate(self.vertices)
+                        if sum(map(mul, n, v)) == off) for n, off in self.facets)
         sets = {(1 << len(self.vertices)) - 1}
         for z in inc:
             sets |= {z & s for s in sets}
-        sets.discard(0)
-        return inc, sets
+        return inc, frozenset(sets - {0})
 
     def edges(self) -> list[tuple[Weight, Weight]]:
         """Vertex pairs that span a one-dimensional face, in lex order: the
         faces with exactly two vertices."""
         v = self.vertices
-        return sorted(tuple(v[j] for j in _bits(s)) for s in self._face_sets()[1]
+        return sorted(tuple(v[j] for j in _bits(s)) for s in self._lattice[1]
                       if s.bit_count() == 2)
 
     def edge_frames(self) -> dict:
@@ -161,16 +163,15 @@ class Polytope:
 
     def faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
         """All nonempty faces, the polytope itself included, as sorted
-        (dim, vertex tuple, active facet indices): each set of `_face_sets`,
-        with the facets whose vertex sets contain it."""
-        eq_rows = [n for n, _ in self.equations]
-        inc, sets = self._face_sets()
-        out = []
-        for s in sets:
-            active = tuple(i for i, z in enumerate(inc) if z & s == s)
-            rank = len(_bareiss(eq_rows + [self.facets[i][0] for i in active])[1])
-            out.append((self.rank - rank, tuple(self.vertices[j] for j in _bits(s)), active))
-        return sorted(out)
+        (dim, vertex tuple, active facet indices).  Each facet of a face F is
+        F & G for a facet G of the polytope, so dim F is 1 + the largest dim
+        of a nonempty F & G other than F, and a vertex has dim 0."""
+        inc, sets = self._lattice
+        dims = {}
+        for s in sorted(sets, key=int.bit_count):
+            dims[s] = 1 + max((dims[s & z] for z in inc if 0 != s & z != s), default=-1)
+        return sorted((d, tuple(self.vertices[j] for j in _bits(s)),
+                       tuple(i for i, z in enumerate(inc) if z & s == s)) for s, d in dims.items())
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
         r = self.rank
@@ -413,6 +414,7 @@ def brianchon_gram_check(p: Polytope, samples: int = 200, seed: int = 0) -> BGRe
     whole polytope keeps none).  The alternating sum of indicator values
     sum_F (-1)^dim(F) [x in T_F] must equal [x in P].  Points landing on a
     facet hyperplane are resampled, since every T_F boundary lies in one.
+    x lies in T_F when F's active facets are among those x satisfies.
     """
     import random
 
@@ -424,25 +426,23 @@ def brianchon_gram_check(p: Polytope, samples: int = 200, seed: int = 0) -> BGRe
                           {"dim": p.dim, "rank": p.rank})
     rng = random.Random(seed)
     box = p.bounding_box()
-    faces = p.faces()
+    cones = [(sum(1 << i for i in active), (-1) ** fdim) for fdim, _verts, active in p.faces()]
     failures = []
     resampled = 0
     checked = 0
     while checked < samples:
         x = tuple(rat(Fraction(rng.randint(int(floor(lo)) * 7 - 9, int(ceil(hi)) * 7 + 9), 7))
                   for lo, hi in box)
-        if any(wdot(n, x) == off for n, off in p.facets):
+        gaps = [sum(map(mul, n, x)) - off for n, off in p.facets]
+        if 0 in gaps:
             resampled += 1
             if resampled > 50 * samples:
                 raise GitkitError("resample_cap", "too many samples landed on facet hyperplanes", {})
             continue
         checked += 1
-        total = 0
-        for fdim, _verts, active in faces:
-            inside = all(wdot(p.facets[i][0], x) >= p.facets[i][1] for i in active)
-            if inside:
-                total += (-1) ** fdim
-        expect = 1 if p.contains(x) else 0
+        sat = sum(1 << i for i, g in enumerate(gaps) if g > 0)
+        total = sum(sign for mask, sign in cones if mask & sat == mask)
+        expect = 1 if sat.bit_count() == len(p.facets) else 0
         if total != expect:
             failures.append((weight_to_json(x), total, expect))
     return BGReport(checked, not failures, resampled, tuple(failures))

@@ -470,6 +470,9 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
     fails the flow continues to twice the radius, where the face separation
     is exponentially sharper, and tries again.  The direction matches the
     destabilizer convention (it points away from the weight hull).
+    The line search ends at a step below 1e-18 or one that leaves xi
+    unchanged (it would repeat the same state until max_iter): converged if
+    the gradient norm is under 10 * tol, `line_search_stalled` otherwise.
     Exhausting max_iter raises.  The data are converted to floats once.  A
     trial step runs only `_psi_value`; the accepted one then runs
     `_psi_gradient` on the same exponentials, so masses and gradient, which
@@ -505,6 +508,12 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
         step = INIT_STEP
         while True:
             cand = tuple(a - step * g for a, g in zip(xi, grad))
+            if step < 1e-18 or cand == xi:
+                if gn < 10 * tol:
+                    return Converged(xi=xi, value=val, residual=gn, iterations=it)
+                raise GitkitError("line_search_stalled",
+                                  "descent line search stalled above tolerance",
+                                  {"residual": gn})
             cval, raw, z = _psi_value(ws, logc, cand)
             if cval <= val - ARMIJO * step * gn * gn:
                 xi, val = cand, cval
@@ -512,11 +521,5 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
                 gn = math.sqrt(sum(map(mul, grad, grad)))
                 break
             step *= BACKTRACK
-            if step < 1e-18:
-                if gn < 10 * tol:
-                    return Converged(xi=xi, value=val, residual=gn, iterations=it)
-                raise GitkitError("line_search_stalled",
-                                  "descent line search stalled above tolerance",
-                                  {"residual": gn})
     raise GitkitError("descent_exhausted",
                       f"no verdict within {max_iter} iterations", {"residual": gn})

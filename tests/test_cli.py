@@ -1,14 +1,13 @@
 """End-to-end tests of the command line surface: flag parsing, JSON output,
 exit codes, and determinism of repeated runs."""
 
-import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from gitkit import localization, polytopes
-from gitkit.cli import REGISTRY, build_parser, main
+from gitkit.cli import COMMANDS, main
 from gitkit.localization import vertex_sum
 
 
@@ -18,23 +17,7 @@ def run(argv, capsys):
     return code, cap.out, cap.err
 
 
-def _subcommands(parser):
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            return act.choices
-    return {}
-
-
-def test_registry_matches_parser_tree():
-    top = build_parser()
-    tree = {name: set(_subcommands(sub)) for name, sub in _subcommands(top).items()}
-    for func_name, (group, op) in REGISTRY.items():
-        assert group in tree, func_name
-        if op is not None:
-            assert op in tree[group], func_name
-
-
-# every (group, op) of REGISTRY with its exact stdout and exit code, and the
+# every (group, op) of COMMANDS with its exact stdout and exit code, and the
 # stderr JSON of domain errors; "{tmp}" stands for the directory of the files
 PINNED = json.loads(Path(__file__).with_name("cli_pinned.json").read_text())
 
@@ -42,7 +25,7 @@ PINNED = json.loads(Path(__file__).with_name("cli_pinned.json").read_text())
 def test_pinned_cases_cover_registry():
     ops = {(c["argv"][0], c["argv"][1] if len(c["argv"]) > 1 else None)
            for c in PINNED["cases"]}
-    assert set(REGISTRY.values()) <= ops
+    assert {(group, op) for group, op, *_ in COMMANDS} <= ops
 
 
 @pytest.mark.parametrize("case", PINNED["cases"],

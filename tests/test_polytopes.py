@@ -1,10 +1,11 @@
 """Exact polytope geometry: hulls, faces, cuts, fans, and the signed
 tangent-cone identity."""
 
+import copy
 import itertools
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,14 @@ from gitkit.lie import (
     rat,
     wdot,
     weight,
+    weight_to_json,
     weyl_orbit,
     wsub,
 )
 from gitkit import polytopes
+from gitkit.localization import vertex_sum
 from gitkit.polytopes import (
+    BGReport,
     Polytope,
     _bareiss,
     _frame_index,
@@ -783,3 +787,117 @@ def test_frame_index():
     assert _frame_index([(1, 1), (1, -1)]) == 2
     assert _frame_index([(1, 1, 0), (0, 1, 1)]) == 1
     assert _frame_index([(2, 0, 0), (0, 2, 2)]) == 4
+
+
+# ------------------------------------------ one lattice for every face question
+#
+# `_ref_brianchon_gram_check` is the previous `brianchon_gram_check`, kept
+# verbatim: it tested every active facet of every face at every sample with
+# exact dot products, and called `contains` for the expected value.
+
+def _ref_brianchon_gram_check(p: Polytope, samples: int = 200, seed: int = 0) -> BGReport:
+    """Test the signed tangent-cone identity at random rational points.
+
+    For each face F, T_F keeps only the facet constraints active on F (the
+    whole polytope keeps none).  The alternating sum of indicator values
+    sum_F (-1)^dim(F) [x in T_F] must equal [x in P].  Points landing on a
+    facet hyperplane are resampled, since every T_F boundary lies in one.
+    """
+    import random
+
+    if type(samples) is not int or samples < 1:
+        raise GitkitError("bad_input", "samples must be a positive integer",
+                          {"samples": repr(samples)})
+    if p.dim != p.rank:
+        raise GitkitError("not_full_dim", "tangent-cone identity needs a full-dimensional polytope",
+                          {"dim": p.dim, "rank": p.rank})
+    rng = random.Random(seed)
+    box = p.bounding_box()
+    faces = p.faces()
+    failures = []
+    resampled = 0
+    checked = 0
+    while checked < samples:
+        x = tuple(rat(Fraction(rng.randint(int(floor(lo)) * 7 - 9, int(ceil(hi)) * 7 + 9), 7))
+                  for lo, hi in box)
+        if any(wdot(n, x) == off for n, off in p.facets):
+            resampled += 1
+            if resampled > 50 * samples:
+                raise GitkitError("resample_cap", "too many samples landed on facet hyperplanes", {})
+            continue
+        checked += 1
+        total = 0
+        for fdim, _verts, active in faces:
+            inside = all(wdot(p.facets[i][0], x) >= p.facets[i][1] for i in active)
+            if inside:
+                total += (-1) ** fdim
+        expect = 1 if p.contains(x) else 0
+        if total != expect:
+            failures.append((weight_to_json(x), total, expect))
+    return BGReport(checked, not failures, resampled, tuple(failures))
+
+
+def _full_dim_permutahedron(lam):
+    """The Kostant polytope of lam with its last coordinate dropped: a
+    full-dimensional copy of rank len(lam) - 1."""
+    return hull([v[:-1] for v in kostant_polytope(lam).vertices])
+
+
+@pytest.mark.parametrize("p, samples", [
+    (hull([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]), 200),
+    (_full_dim_permutahedron((2, 1, 0)), 200),
+    (_full_dim_permutahedron((3, 2, 1, 0)), 200),
+    (_full_dim_permutahedron((4, 3, 2, 1, 0)), 40),
+    # a square missing its top facet: the identity fails, so failures compare
+    (Polytope(((0, 0), (0, 1), (1, 0), (1, 1)),
+              (((0, 1), 0), ((1, 0), 0), ((-1, 0), -1)), (), 2), 200),
+], ids=["cube", "hexagon", "perm-rank3", "perm-rank4", "open-square"])
+def test_brianchon_gram_check_matches_reference(p, samples):
+    for seed in (0, 5):
+        got = brianchon_gram_check(p, samples, seed)
+        assert got == _ref_brianchon_gram_check(p, samples, seed)
+
+
+@st.composite
+def _full_dim_point_sets(draw):
+    """A simplex of rank 1 to 4 (a base point and one step along each
+    axis), so the hull is full-dimensional, plus up to 8 more points."""
+    r = draw(st.integers(1, 4))
+    vec = st.tuples(*[_COORD] * r)
+    base = draw(vec)
+    steps = [draw(st.integers(1, 4)) for _ in range(r)]
+    simplex = [tuple(b + (steps[j] if i == j else 0) for i, b in enumerate(base))
+               for j in range(r)]
+    return [base] + simplex + draw(st.lists(vec, max_size=8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_full_dim_point_sets(), st.integers(0, 2**16))
+def test_brianchon_gram_check_matches_reference_on_drawn_hulls(pts, seed):
+    h = hull(pts)
+    assert brianchon_gram_check(h, 20, seed) == _ref_brianchon_gram_check(h, 20, seed), pts
+
+
+def test_face_readers_hand_back_fresh_lists():
+    h = _full_dim_permutahedron((3, 1, 0))
+    first = (h.edges(), h.edge_frames(), h.faces())
+    want = copy.deepcopy(first)
+    edges, frames, faces = first
+    edges.append(edges.pop(0)[::-1])
+    for dirs in frames.values():
+        dirs.append(dirs[0])
+    faces[0] = (9, (), ())
+    del faces[1:]
+    assert (h.edges(), h.edge_frames(), h.faces()) == want
+
+
+def test_face_readers_build_the_lattice_once(monkeypatch):
+    built = []
+    lattice = Polytope.__dict__["_lattice"]
+    build = lattice.func
+    monkeypatch.setattr(lattice, "func", lambda self: built.append(self) or build(self))
+    p = hull([(0, 0), (3, 0), (3, 1), (0, 4)])
+    p.edges(), p.edge_frames(), p.faces()
+    symplectic_cut(p, (1, 2), 3), vertex_sum(p), is_delzant(p), normal_fan(p)
+    brianchon_gram_check(p, 20)
+    assert len(built) == 1 and built[0] is p

@@ -13,6 +13,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,6 +375,21 @@ def test_flow_respects_initial_point():
     x = proj_point([(1, 1), (-1, 0), (0, -1)])
     out = minimize_kempf_ness(x, xi0=(5.0, -3.0))
     assert out.outcome == "Converged"
+
+
+@pytest.mark.parametrize("x, xi0, residual", [
+    # a unit step is below the last bit of xi0, so no trial moves xi
+    (proj_point([(1, 0), (-1, 0)]), (1e200, 0), 1.0),
+    # polystable, but from about iteration 100 the accepted steps leave xi as it is
+    (proj_point([(10**6, 0), (-1, 0)]), None, 1.233427792235453e-06),
+])
+def test_flow_stalls_on_steps_that_leave_xi_unchanged(x, xi0, residual):
+    start = time.perf_counter()
+    with pytest.raises(GitkitError) as exc:
+        minimize_kempf_ness(x, xi0=xi0)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == "line_search_stalled"
+    assert exc.value.context == {"residual": residual}
 
 
 def test_flow_exact_vs_float_random_supports():
