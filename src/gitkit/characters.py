@@ -39,11 +39,10 @@ class LaurentPoly:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms: dict | None = None):
+        """Every entry is checked, zero coefficients too, before zeros are dropped."""
         self.rank = rank
         clean = {}
         for w, c in (terms or {}).items():
-            if c == 0:
-                continue
             if len(w) != rank:
                 raise GitkitError("rank_mismatch", "exponent length does not match rank",
                                   {"rank": rank, "exponent": list(w)})
@@ -55,8 +54,17 @@ class LaurentPoly:
             if ci != c:
                 raise GitkitError("not_integral", "Laurent coefficients must be integers",
                                   {"coefficient": str(c)})
-            clean[key] = clean.get(key, 0) + ci
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+            if ci:
+                clean[key] = ci
+        self.terms = clean
+
+    @classmethod
+    def _of(cls, rank: int, terms: dict) -> "LaurentPoly":
+        """Over terms already checked (int exponent tuples of this rank, nonzero int
+        coefficients), kept uncopied: fresh for this polynomial, or read-only."""
+        poly = cls.__new__(cls)
+        poly.rank, poly.terms = rank, terms
+        return poly
 
     @staticmethod
     def zero(rank: int) -> "LaurentPoly":
@@ -90,11 +98,7 @@ class LaurentPoly:
         return LaurentPoly(self.rank, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return LaurentPoly(self.rank, out)
+        return self + -other
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.rank, {w: -c for w, c in self.terms.items()})
@@ -256,9 +260,7 @@ def weyl_character(lam: Weight) -> LaurentPoly:
     """
     lam = tuple(lam)
     _check_dominant_integral(lam)
-    poly = LaurentPoly.__new__(LaurentPoly)   # a fresh shell over the shared terms
-    poly.rank, poly.terms = len(lam), _weyl_terms(lam)
-    return poly
+    return LaurentPoly._of(len(lam), _weyl_terms(lam))   # a fresh shell over the shared terms
 
 
 @functools.lru_cache(maxsize=1024)

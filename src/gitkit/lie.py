@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Weight = tuple
 
@@ -120,18 +120,16 @@ def as_int_weight(a: Weight) -> tuple[int, ...]:
 
 
 def primitive_integer(a: Weight) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector (same ray)."""
-    fr = [Fraction(x) for x in a]
-    if all(f == 0 for f in fr):
+    """Scale a nonzero rational vector to a primitive integer vector (same ray);
+    a vector of ints is divided by its gcd with no Fraction made."""
+    if not all(type(x) is int for x in a):
+        fr = [Fraction(x) for x in a]
+        den = lcm(*(f.denominator for f in fr))
+        a = [int(f * den) for f in fr]
+    g = gcd(*a)
+    if not g:
         raise GitkitError("zero_vector", "primitive direction of the zero vector", {})
-    den = 1
-    for f in fr:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
+    return tuple(v // g for v in a)
 
 
 @dataclass(frozen=True)

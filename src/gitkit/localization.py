@@ -25,13 +25,12 @@ from operator import add, mul
 from .characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
 from .lie import (
     GitkitError,
-    Weight,
     fmt_rat,
     is_int_list,
     parse_rat,
-    rat,
     wdot,
     weight,
+    weight_to_json,
 )
 from .polytopes import Polytope, _frame_index, hull
 
@@ -44,7 +43,12 @@ class Term:
 
     def __post_init__(self):
         r = self.num.rank
-        object.__setattr__(self, "den", tuple(tuple(int(x) for x in b) for b in self.den))
+        den = tuple(tuple(int(x) for x in b) for b in self.den)
+        for b, key in zip(self.den, den):
+            if any(type(x) is bool or x != k for x, k in zip(b, key)):
+                raise GitkitError("not_integral", "denominator exponents must be integers",
+                                  {"exponent": [str(x) for x in b]})
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "dir", tuple(parse_rat(x) for x in self.dir))
         if len(self.dir) != r:
             raise GitkitError("rank_mismatch", "direction length does not match rank",
@@ -60,6 +64,14 @@ class Term:
                                   "expansion direction must pair negatively with every "
                                   "denominator exponent",
                                   {"exponent": list(b)})
+
+    @classmethod
+    def _of(cls, num: LaurentPoly, den: tuple, dir: tuple) -> "Term":
+        """A term from checked parts: den's nonzero int exponent tuples of num's
+        rank each pair negatively with dir, a canonical (lie.weight) direction."""
+        term = object.__new__(cls)
+        term.__dict__.update(num=num, den=den, dir=dir)
+        return term
 
 
 @dataclass(frozen=True)
@@ -260,7 +272,7 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
             cur = nxt
         for w, c in cur.items():
             out[w] = out.get(w, 0) + c
-    return LaurentPoly(r, out)
+    return LaurentPoly._of(r, {w: c for w, c in out.items() if c})
 
 
 def _generic_direction(r: int, edge_dirs) -> tuple:
@@ -301,20 +313,17 @@ def vertex_sum(p: Polytope) -> ConeSeries:
             raise GitkitError("not_smooth", "edge frame is not unimodular" + span,
                               {"vertex": [fmt_rat(x) for x in v]})
     all_dirs = sorted({e for es in dirs.values() for e in es})
-    xi = _generic_direction(r, all_dirs)
+    xi = weight(_generic_direction(r, all_dirs))
     terms = []
     for v in p.vertices:
-        vi = tuple(int(x) for x in v)
-        num = LaurentPoly.monomial(vi, 1)
-        den = []
+        # 1/(1 - t^e) = -t^-e / (1 - t^-e) flips each e with <e, xi> > 0
+        w, sign, den = tuple(int(x) for x in v), 1, []
         for e in dirs[v]:
-            if wdot(e, xi) < 0:
-                den.append(e)
-            else:
-                flip = tuple(-x for x in e)
-                num = num * LaurentPoly.monomial(flip, -1)
-                den.append(flip)
-        terms.append(Term(num, tuple(sorted(den)), xi))
+            if sum(map(mul, e, xi)) > 0:
+                e = tuple(-x for x in e)
+                w, sign = tuple(map(add, w, e)), -sign
+            den.append(e)
+        terms.append(Term._of(LaurentPoly._of(r, {w: sign}), tuple(sorted(den)), xi))
     return ConeSeries(tuple(terms))
 
 
@@ -410,7 +419,10 @@ def weyl_via_localization(lam) -> tuple[ConeSeries, LaurentPoly]:
 
     Returns the series and its box expansion over the weight hull, which the
     direct character construction must reproduce exactly."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
+    if not all(type(x) is int for x in lam):
+        raise GitkitError("not_integral", "highest weight must have integer entries",
+                          {"weight": weight_to_json(lam)})
     r = len(lam)
     if r > 4:
         raise GitkitError("rank_too_large", "localization characters capped at rank 4",
@@ -419,8 +431,8 @@ def weyl_via_localization(lam) -> tuple[ConeSeries, LaurentPoly]:
         raise GitkitError("not_dominant", "weight entries must be weakly decreasing",
                           {"weight": list(lam)})
     dens = tuple(sorted(tuple(-x for x in a) for a in positive_roots(r)))
-    xi = tuple(r - i for i in range(r))
-    series = ConeSeries(tuple(Term(LaurentPoly.monomial(w, sign), dens, xi)
+    shape = Term(LaurentPoly.one(r), dens, tuple(r - i for i in range(r)))  # checked once
+    series = ConeSeries(tuple(Term._of(LaurentPoly._of(r, {w: sign}), shape.den, shape.dir)
                               for w, sign in weyl_alternant(lam)))
     lo, hi = min(lam), max(lam)
     box = tuple((lo, hi) for _ in range(r))

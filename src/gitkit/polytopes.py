@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .lie import (
     GitkitError,
@@ -37,7 +37,6 @@ from .lie import (
     weight_from_json,
     weight_to_json,
     weyl_orbit,
-    wsub,
 )
 
 
@@ -153,13 +152,21 @@ class Polytope:
         return sorted(tuple(v[j] for j in _bits(s)) for s in self._lattice[1]
                       if s.bit_count() == 2)
 
-    def edge_frames(self) -> dict:
-        """Primitive integer directions of the edges leaving each vertex."""
+    @cached_property
+    def _frames(self) -> dict:
+        """edge_frames, built once: each edge's primitive direction is found
+        once (in ints, with no Fraction, when the vertices are ints) and
+        negated for its other end."""
         frames: dict = {v: [] for v in self.vertices}
         for u, v in self.edges():
-            frames[u].append(primitive_integer(wsub(v, u)))
-            frames[v].append(primitive_integer(wsub(u, v)))
+            e = primitive_integer(tuple(map(sub, v, u)))
+            frames[u].append(e)
+            frames[v].append(tuple(-x for x in e))
         return frames
+
+    def edge_frames(self) -> dict:
+        """Primitive integer directions of the edges leaving each vertex."""
+        return {v: list(es) for v, es in self._frames.items()}
 
     def faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
         """All nonempty faces, the polytope itself included, as sorted
@@ -174,9 +181,7 @@ class Polytope:
                        tuple(i for i, z in enumerate(inc) if z & s == s)) for s, d in dims.items())
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
-        r = self.rank
-        return [(min(Fraction(v[i]) for v in self.vertices),
-                 max(Fraction(v[i]) for v in self.vertices)) for i in range(r)]
+        return [(Fraction(min(col)), Fraction(max(col))) for col in zip(*self.vertices)]
 
     def to_json(self) -> dict:
         return {
@@ -315,7 +320,8 @@ def kostant_polytope(lam: Weight) -> Polytope:
 
 
 def lattice_points(p: Polytope) -> list[Weight]:
-    """All integer points of the polytope, by scanning the bounding box."""
+    """All integer points of the polytope, in lex order, by scanning the
+    bounding box with plain dot products: its points need no parsing."""
     box = p.bounding_box()
     ranges = []
     for lo, hi in box:
@@ -325,8 +331,9 @@ def lattice_points(p: Polytope) -> list[Weight]:
                               "bounding box axis exceeds 100 lattice steps",
                               {"width": b - a})
         ranges.append(range(a, b + 1))
-    out = [pt for pt in itertools.product(*ranges) if p.contains(pt)]
-    return sorted(out)
+    return [pt for pt in itertools.product(*ranges)
+            if all(sum(map(mul, n, pt)) == off for n, off in p.equations)
+            and all(sum(map(mul, n, pt)) >= off for n, off in p.facets)]
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,28 @@ def test_infile_series(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"] == "7"
 
 
+def test_zero_term_of_the_wrong_rank_in_a_series_exits_one(tmp_path, capsys):
+    # a zero coefficient used to be dropped before its exponent was checked
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([{"num": [{"w": [0, 0], "c": 1}, {"w": [1], "c": 0}],
+                                 "den": [], "dir": ["1", "1"]}]))
+    code, out, err = run(["localize", "eval", "--in", str(path), "--point", "2,3"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "rank_mismatch",
+                               "message": "exponent length does not match rank",
+                               "context": {"rank": 2, "exponent": [1]}}
+
+
+@pytest.mark.parametrize("group", ["char", "localize"])
+def test_non_integral_highest_weight_exits_one(group, capsys):
+    # localize weyl used to truncate 5/2 to 2 and print the character of (2, 0)
+    code, out, err = run([group, "weyl", "--lambda", "5/2,0"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "not_integral",
+                               "message": "highest weight must have integer entries",
+                               "context": {"weight": ["5/2", "0"]}}
+
+
 def test_domain_error_exits_one_with_json_stderr(capsys):
     code, out, err = run(["char", "weyl", "--lambda", "1,2"], capsys)
     assert code == 1 and out == ""

@@ -665,6 +665,7 @@ def test_edge_users_match_subset_reference(pts, monkeypatch):
     got = (h.edge_frames(), symplectic_cut(h, normal, level),
            is_delzant(h) if h.dim == h.rank else None)
     monkeypatch.setattr(Polytope, "edges", _ref_edges)
+    h = hull(pts)   # a fresh polytope: edge frames are built once per polytope
     assert got == (h.edge_frames(), symplectic_cut(h, normal, level),
                    is_delzant(h) if h.dim == h.rank else None)
 
@@ -901,3 +902,126 @@ def test_face_readers_build_the_lattice_once(monkeypatch):
     symplectic_cut(p, (1, 2), 3), vertex_sum(p), is_delzant(p), normal_fan(p)
     brianchon_gram_check(p, 20)
     assert len(built) == 1 and built[0] is p
+
+
+def test_edge_frames_are_built_once(monkeypatch):
+    built = []
+    frames = Polytope.__dict__["_frames"]
+    build = frames.func
+    monkeypatch.setattr(frames, "func", lambda self: built.append(self) or build(self))
+    p = hull([(0, 0), (3, 0), (3, 1), (0, 4)])
+    p.edge_frames(), is_delzant(p), vertex_sum(p), p.edge_frames(), is_delzant(p)
+    assert len(built) == 1 and built[0] is p
+
+
+def test_edge_frame_users_ignore_a_mutated_frame_dict():
+    p = hull([(0, 0), (3, 0), (3, 1), (0, 4)])
+    want = (repr(p.edge_frames()), is_delzant(p), repr(vertex_sum(p)))
+    frames = p.edge_frames()
+    frames[(0, 0)].append((9, 9))
+    del frames[(3, 0)]
+    assert (repr(p.edge_frames()), is_delzant(p), repr(vertex_sum(p))) == want
+
+
+# ------------------------------------ edge frames, bounding box, lattice points
+#
+# `_ref_primitive_integer`, `_ref_edge_frames`, `_ref_bounding_box` and
+# `_ref_lattice_points` are the previous `lie.primitive_integer`,
+# `Polytope.edge_frames`, `Polytope.bounding_box` and `lattice_points`, kept
+# verbatim but for the `_ref_` names they call: every edge direction went
+# through Fraction at each end, the box made a Fraction per vertex per axis,
+# and every box point went through the public `contains`.
+
+def _ref_primitive_integer(a: Weight) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to a primitive integer vector (same ray)."""
+    fr = [Fraction(x) for x in a]
+    if all(f == 0 for f in fr):
+        raise GitkitError("zero_vector", "primitive direction of the zero vector", {})
+    den = 1
+    for f in fr:
+        den = den * f.denominator // gcd(den, f.denominator)
+    ints = [int(f * den) for f in fr]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(v // g for v in ints)
+
+
+def _ref_edge_frames(self) -> dict:
+    """Primitive integer directions of the edges leaving each vertex."""
+    frames: dict = {v: [] for v in self.vertices}
+    for u, v in self.edges():
+        frames[u].append(_ref_primitive_integer(wsub(v, u)))
+        frames[v].append(_ref_primitive_integer(wsub(u, v)))
+    return frames
+
+
+def _ref_bounding_box(self) -> list[tuple[Fraction, Fraction]]:
+    r = self.rank
+    return [(min(Fraction(v[i]) for v in self.vertices),
+             max(Fraction(v[i]) for v in self.vertices)) for i in range(r)]
+
+
+def _ref_lattice_points(p: Polytope) -> list[Weight]:
+    """All integer points of the polytope, by scanning the bounding box."""
+    box = _ref_bounding_box(p)
+    ranges = []
+    for lo, hi in box:
+        a, b = ceil(lo), floor(hi)
+        if b - a > 100:
+            raise GitkitError("box_too_large",
+                              "bounding box axis exceeds 100 lattice steps",
+                              {"width": b - a})
+        ranges.append(range(a, b + 1))
+    out = [pt for pt in itertools.product(*ranges) if p.contains(pt)]
+    return sorted(out)
+
+
+def _outcome(f, *args):
+    """repr of f's result, or the code, message and context it raised."""
+    try:
+        return repr(f(*args))
+    except GitkitError as e:
+        return e.code, e.message, e.context
+
+
+def _assert_same_frames_box_and_points(h):
+    # repr shows every dict and list in order, and int apart from Fraction
+    assert repr(h.edge_frames()) == repr(_ref_edge_frames(h))
+    assert repr(h.bounding_box()) == repr(_ref_bounding_box(h))
+    assert _outcome(lattice_points, h) == _outcome(_ref_lattice_points, h)
+
+
+def test_frames_box_and_points_match_reference_on_kostant_orbits():
+    # every orbit of c10: rank 1-4, highest weight entries 0-5
+    for r in range(1, 5):
+        for lam in itertools.product(range(5, -1, -1), repeat=r):
+            if all(lam[i] >= lam[i + 1] for i in range(r - 1)):
+                _assert_same_frames_box_and_points(hull(weyl_orbit(lam, r)))
+
+
+_SMALL_COORD = st.one_of(st.integers(-3, 3),
+                         st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+
+
+def test_frames_box_and_points_match_reference_on_drawn_hulls():
+    seen = []   # per drawn hull: rational vertices, edges, lattice points
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda r: st.lists(st.tuples(*[_SMALL_COORD] * r), min_size=1, max_size=8)))
+    def compare(pts):
+        h = hull(pts)
+        _assert_same_frames_box_and_points(h)
+        seen.append((any(type(x) is not int for v in h.vertices for x in v),
+                     bool(h.edges()), bool(lattice_points(h))))
+
+    compare()
+    rational, edged, points = (sum(col) for col in zip(*seen))
+    assert rational >= 15 and edged >= 24 and points >= 24, (rational, edged, points)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(_COORD | st.booleans() | st.just(0), min_size=1, max_size=5))
+def test_primitive_integer_matches_reference(a):
+    assert _outcome(primitive_integer, a) == _outcome(_ref_primitive_integer, a)
