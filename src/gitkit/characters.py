@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 from types import MappingProxyType
 
@@ -31,6 +32,24 @@ from .lie import (
     wsub,
     weight_to_json,
 )
+
+
+def _monomial_at(w, pq) -> tuple[int, int]:
+    """t^w at the point of coordinates p/q, given as integer pairs (p, q): an
+    integer pair (n, d) with value n/d.  d is 0 exactly when a zero coordinate
+    has a negative exponent (a pole), and n is 0 when one has a positive one."""
+    n = d = 1
+    for (p, q), e in zip(pq, w):
+        if e > 0:
+            n, d = n * p ** e, d * q ** e
+        elif e < 0:
+            n, d = n * q ** -e, d * p ** -e
+    return n, d
+
+
+def _point_strs(pq) -> list[str]:
+    """A point of integer pairs (p, q) as the strings of its coordinates p/q."""
+    return [str(Fraction(p, q)) for p, q in pq]
 
 
 class LaurentPoly:
@@ -118,25 +137,28 @@ class LaurentPoly:
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a tuple of nonzero rationals (zero allowed only
         when no negative exponent touches that coordinate)."""
-        pt = [Fraction(x) for x in point]
-        if len(pt) != self.rank:
+        return Fraction(*self._value_at([(x.numerator, x.denominator)
+                                         for x in map(Fraction, point)]))
+
+    def _value_at(self, pq) -> tuple[int, int]:
+        """The value at the point of coordinates p/q, given as integer pairs
+        (p, q), as an integer pair (num, den) over the lcm of the monomials'
+        denominators.  A monomial is 0 when its first zero coordinate with a
+        nonzero exponent has a positive one, and a pole when a negative one."""
+        if len(pq) != self.rank:
             raise GitkitError("rank_mismatch", "evaluation point has wrong length",
-                              {"rank": self.rank, "point": [str(x) for x in pt]})
-        total = Fraction(0)
+                              {"rank": self.rank, "point": _point_strs(pq)})
+        num, den = 0, 1
         for w, c in self.terms.items():
-            val = Fraction(c)
-            for x, e in zip(pt, w):
-                if x == 0:
-                    if e < 0:
-                        raise GitkitError("pole", "zero coordinate raised to a negative power",
-                                          {"point": [str(v) for v in pt]})
-                    if e > 0:
-                        val = Fraction(0)
-                        break
-                else:
-                    val *= x ** e
-            total += val
-        return total
+            n, d = _monomial_at(w, pq)
+            if not d:
+                if next(e for (p, _), e in zip(pq, w) if e and not p) < 0:
+                    raise GitkitError("pole", "zero coordinate raised to a negative power",
+                                      {"point": _point_strs(pq)})
+                continue
+            g = gcd(den, d)
+            num, den = num * (d // g) + c * n * (den // g), den * (d // g)
+        return num, den
 
     def total_coeff_sum(self) -> int:
         return sum(self.terms.values())
@@ -200,7 +222,7 @@ def weyl_dim(lam: Weight) -> int:
 
 
 def _check_dominant_integral(lam: Weight):
-    if not all(isinstance(x, int) for x in lam):
+    if not all(type(x) is int for x in lam):
         raise GitkitError("not_integral", "highest weight must have integer entries",
                           {"weight": weight_to_json(lam)})
     if not is_dominant(lam):
@@ -372,7 +394,7 @@ def bwb_cohomology(lam: Weight):
     needed to sort lam + rho and the weight is the sorted result minus rho.
     """
     lam = tuple(lam)
-    if not all(isinstance(x, int) for x in lam):
+    if not all(type(x) is int for x in lam):
         raise GitkitError("not_integral", "integral weight required", {"weight": weight_to_json(lam)})
     r = len(lam)
     shift = rho(r)

@@ -54,6 +54,9 @@ def fmt_rat(x) -> str:
 
 
 def weight(coords) -> Weight:
+    """coords as a tuple of canonical exact rationals; a tuple of ints is one already."""
+    if type(coords) is tuple and all(type(c) is int for c in coords):
+        return coords
     return tuple(rat(c) for c in coords)
 
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
+from .characters import (
+    LaurentPoly,
+    _monomial_at,
+    positive_roots,
+    weyl_alternant,
+    weyl_character,
+)
 from .lie import (
     GitkitError,
     fmt_rat,
@@ -32,7 +38,7 @@ from .lie import (
     weight,
     weight_to_json,
 )
-from .polytopes import Polytope, _frame_index, hull
+from .polytopes import Polytope
 
 
 @dataclass(frozen=True)
@@ -115,26 +121,28 @@ class ConeSeries:
 
 def evaluate(series: ConeSeries, point) -> Fraction:
     """Exact value at a rational point; hitting a denominator zero raises and
-    asks for a different sample point."""
-    pt = [Fraction(parse_rat(x)) for x in point]
-    total = Fraction(0)
+    asks for a different sample point.
+
+    Each coordinate is an integer pair (p, q), each monomial's value an
+    integer pair (`_monomial_at`), and every term and the running sum are
+    integer (numerator, denominator) pairs: one Fraction is made, at the end."""
+    pq = [(x.numerator, x.denominator) for x in map(parse_rat, point)]
+    num, den = 0, 1
     for t in series.terms:
-        val = t.num.evaluate(pt)
+        vn, vd = t.num._value_at(pq)
         for b in t.den:
-            mono = Fraction(1)
-            for x, e in zip(pt, b):
-                if x == 0 and e < 0:
-                    raise GitkitError("pole", "zero coordinate with negative exponent; "
-                                      "pick another sample point", {})
-                mono *= x ** e
-            factor = 1 - mono
-            if factor == 0:
+            n, d = _monomial_at(b, pq)
+            if not d:
+                raise GitkitError("pole", "zero coordinate with negative exponent; "
+                                  "pick another sample point", {})
+            if n == d:
                 raise GitkitError("pole", "sample point lies on a denominator zero; "
                                   "pick another sample point",
                                   {"exponent": list(b)})
-            val /= factor
-        total += val
-    return total
+            vn, vd = vn * d, vd * (d - n)     # divided by 1 - n/d
+        g = math.gcd(den, vd)
+        num, den = num * (vd // g) + vn * (den // g), den * (vd // g)
+    return Fraction(num, den)
 
 
 def _lex_positive(b: tuple) -> bool:
@@ -308,7 +316,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
         if len(es) != d:
             raise GitkitError("not_smooth", "vertex does not have dim-many edges",
                               {"vertex": [fmt_rat(x) for x in v], "edges": len(es)})
-        if _frame_index(es) != 1:
+        if p._frame_index_at(v) != 1:
             span = "" if d == r else " in its span"
             raise GitkitError("not_smooth", "edge frame is not unimodular" + span,
                               {"vertex": [fmt_rat(x) for x in v]})

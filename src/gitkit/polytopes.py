@@ -32,7 +32,6 @@ from .lie import (
     parse_rat,
     primitive_integer,
     rat,
-    wdot,
     weight,
     weight_from_json,
     weight_to_json,
@@ -90,6 +89,13 @@ def _frame_index(rows) -> int:
     for cols in itertools.combinations(range(len(rows[0])), len(rows)):
         g = gcd(g, _bareiss([[row[c] for c in cols] for row in rows])[2])
     return g
+
+
+def _ratio(a: int, b: int) -> int | Fraction:
+    """a / b for ints (b nonzero) as a canonical exact rational: an int when
+    it is one."""
+    q, rem = divmod(a, b)
+    return Fraction(a, b) if rem else q
 
 
 def _bits(z: int):
@@ -167,6 +173,19 @@ class Polytope:
     def edge_frames(self) -> dict:
         """Primitive integer directions of the edges leaving each vertex."""
         return {v: list(es) for v, es in self._frames.items()}
+
+    @cached_property
+    def _frame_indices(self) -> dict:
+        """Each vertex's frame index, filled in by _frame_index_at."""
+        return {}
+
+    def _frame_index_at(self, v: Weight) -> int:
+        """_frame_index of the edge frame at vertex v, computed once per vertex
+        on first use (is_delzant and vertex_sum both ask)."""
+        known = self._frame_indices
+        if v not in known:
+            known[v] = _frame_index(self._frames[v])
+        return known[v]
 
     def faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
         """All nonempty faces, the polytope itself included, as sorted
@@ -283,7 +302,7 @@ def hull(points) -> Polytope:
         n = primitive_integer(u)
         if next(x for x in n if x) < 0:
             n = tuple(-x for x in n)
-        equations.append((n, rat(wdot(n, pts[0]))))
+        equations.append((n, _ratio(sum(map(mul, n, ipts[0])), scale)))
     equations = tuple(sorted(equations))
 
     # Integer points in the pivot coordinates, a full-dimensional set in Z^d.
@@ -301,7 +320,7 @@ def hull(points) -> Polytope:
     for m, z in _facet_rays(proj, d) if d else ():
         n = m if lift is None else primitive_integer(
             [sum(mb * row[j] for mb, row in zip(m, lift)) for j in range(r)])
-        facets[n] = wdot(n, pts[next(_bits(z))])
+        facets[n] = _ratio(sum(map(mul, n, ipts[next(_bits(z))])), scale)
         for i in _bits(z):
             meet[i] &= z
     facet_list = tuple(sorted(facets.items()))
@@ -359,7 +378,7 @@ def is_delzant(p: Polytope) -> DelzantReport:
         dirs = sorted(frames[v])
         if len(dirs) != r:
             return DelzantReport(False, v, f"{len(dirs)} edges at a rank-{r} vertex")
-        if _frame_index(dirs) != 1:
+        if p._frame_index_at(v) != 1:
             return DelzantReport(False, v, f"edge frame determinant {_bareiss(dirs)[2]}")
     return DelzantReport(True, None, "")
 
@@ -374,24 +393,50 @@ def symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
     """Intersect with the halfspace <normal, x> >= level.
 
     Reports 'noop' when the halfspace already contains the polytope and
-    'empty' when it misses it entirely; otherwise returns the cut polytope
-    built from surviving vertices plus edge crossings.
+    'empty' when it misses it entirely; otherwise returns the cut polytope,
+    whose vertices are the kept vertices and the edge crossings.  Vertices,
+    normal and level are scaled to integers, so each vertex's side is an
+    integer dot product and each crossing one division.  When the polytope is
+    full-dimensional and a vertex lies strictly inside the halfspace, the cut
+    is built with no hull: a facet of the polytope stays a facet exactly when
+    it has a vertex strictly inside (else its part in the halfspace lies in
+    the cut hyperplane, of dimension at most dim - 2), and the cut hyperplane
+    is the one new facet.  A lower-dimensional polytope, or a cut that keeps
+    only a face (it needs equations), goes through `hull`.
     """
     normal = weight(normal)
     level = parse_rat(level)
-    vals = {v: wdot(normal, v) for v in p.vertices}
-    if min(vals.values()) >= level:
+    r = p.rank
+    if len(normal) != r:
+        raise GitkitError("rank_mismatch", "weights have different lengths",
+                          {"lengths": [len(normal), r]})
+    # points s * v and normal m * normal: gap = s * m * (<normal, v> - level)
+    s = lcm(*(x.denominator for v in p.vertices for x in v))
+    m = lcm(level.denominator, *(x.denominator for x in normal))
+    nn = [x.numerator * (m // x.denominator) for x in normal]
+    off = level.numerator * (m // level.denominator)
+    ipts = p.vertices if s == 1 else [[x.numerator * (s // x.denominator) for x in v]
+                                      for v in p.vertices]
+    gaps = [sum(map(mul, nn, q)) - off * s for q in ipts]
+    if min(gaps) >= 0:
         return CutResult("noop", p)
-    if max(vals.values()) < level:
+    if max(gaps) < 0:
         return CutResult("empty", None)
-    keep = [v for v in p.vertices if vals[v] >= level]
-    for u, v in p.edges():
-        a, b = vals[u], vals[v]
-        if (a - level) * (b - level) < 0:
-            t = Fraction(level - a, b - a)
-            keep.append(tuple(rat(Fraction(x) + t * (Fraction(y) - Fraction(x)))
-                              for x, y in zip(u, v)))
-    return CutResult("cut", hull(keep))
+    keep = [v for v, gap in zip(p.vertices, gaps) if gap >= 0]
+    for z in p._lattice[1]:
+        if z.bit_count() == 2:
+            i, j = _bits(z)
+            a, b = gaps[i], gaps[j]
+            if a * b < 0:   # (x * b - y * a) / (b - a), back over s
+                keep.append(tuple(_ratio(x * b - y * a, (b - a) * s)
+                                  for x, y in zip(ipts[i], ipts[j])))
+    if p.dim < r or max(gaps) == 0:
+        return CutResult("cut", hull(keep))
+    inside = sum(1 << j for j, gap in enumerate(gaps) if gap > 0)
+    g = gcd(*nn)
+    facets = [f for f, z in zip(p.facets, p._lattice[0]) if z & inside]
+    facets.append((tuple(x // g for x in nn), _ratio(off, g)))
+    return CutResult("cut", Polytope(tuple(sorted(keep)), tuple(sorted(facets)), (), r))
 
 
 def normal_fan(p: Polytope) -> list[dict]:

@@ -282,6 +282,19 @@ def test_bwb_rank3():
     assert dom == (-1, -1, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bwb_cohomology((True, 0)), "integral weight required"),
+    (lambda: bwb_cohomology((0, False, 0)), "integral weight required"),
+    (lambda: tensor_decompose((True, 0), (1, 0)), "highest weight must have integer entries"),
+    (lambda: tensor_decompose((1, 0), (True, False)), "highest weight must have integer entries"),
+])
+def test_bool_entries_are_not_integers(call, message):
+    # isinstance(True, int) holds, so True used to pass as 1
+    with pytest.raises(GitkitError) as exc:
+        call()
+    assert (exc.value.code, exc.value.message) == ("not_integral", message)
+
+
 def test_cached_character_is_read_only():
     with pytest.raises(TypeError):
         weyl_character((1, 0)).terms[(9, 9)] = 5

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gitkit import localization
 from gitkit.characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
-from gitkit.lie import GitkitError, fmt_rat, wadd, wdot, weyl_orbit
+from gitkit.lie import GitkitError, fmt_rat, parse_rat, wadd, wdot, weyl_orbit
 from gitkit.localization import (
     ConeSeries,
     Term,
@@ -396,11 +396,10 @@ def test_weyl_series_refuses_non_int_entries(lam, shown):
         weyl_via_localization(lam)
     assert (exc.value.code, exc.value.message, exc.value.context) == (
         "not_integral", "highest weight must have integer entries", {"weight": shown})
-    if type(lam[0]) is not bool:   # weyl_character takes True as 1
-        with pytest.raises(GitkitError) as direct:
-            weyl_character(lam)
-        assert (direct.value.code, direct.value.message, direct.value.context) == (
-            exc.value.code, exc.value.message, exc.value.context)
+    with pytest.raises(GitkitError) as direct:
+        weyl_character(lam)
+    assert (direct.value.code, direct.value.message, direct.value.context) == (
+        exc.value.code, exc.value.message, exc.value.context)
 
 
 def test_blowup_rejects_large_degrees():
@@ -844,3 +843,137 @@ def test_built_terms_are_not_shared_between_calls():
             poly.terms.clear()
             poly.terms[(7,) * poly.rank] = 5
         assert _shown(call()) == want
+
+
+# ------------------------------------------------------ evaluation in integers
+#
+# `_ref_evaluate` and `_ref_laurent_evaluate` are the previous `evaluate` and
+# `LaurentPoly.evaluate`, kept verbatim but for the `_ref_` name the first
+# calls: a Fraction power per coordinate of every monomial, a Fraction
+# product per denominator factor and a Fraction sum per term.
+
+def _ref_laurent_evaluate(self, point) -> Fraction:
+    """Exact evaluation at a tuple of nonzero rationals (zero allowed only
+    when no negative exponent touches that coordinate)."""
+    pt = [Fraction(x) for x in point]
+    if len(pt) != self.rank:
+        raise GitkitError("rank_mismatch", "evaluation point has wrong length",
+                          {"rank": self.rank, "point": [str(x) for x in pt]})
+    total = Fraction(0)
+    for w, c in self.terms.items():
+        val = Fraction(c)
+        for x, e in zip(pt, w):
+            if x == 0:
+                if e < 0:
+                    raise GitkitError("pole", "zero coordinate raised to a negative power",
+                                      {"point": [str(v) for v in pt]})
+                if e > 0:
+                    val = Fraction(0)
+                    break
+            else:
+                val *= x ** e
+        total += val
+    return total
+
+
+def _ref_evaluate(series: ConeSeries, point) -> Fraction:
+    """Exact value at a rational point; hitting a denominator zero raises and
+    asks for a different sample point."""
+    pt = [Fraction(parse_rat(x)) for x in point]
+    total = Fraction(0)
+    for t in series.terms:
+        val = _ref_laurent_evaluate(t.num, pt)
+        for b in t.den:
+            mono = Fraction(1)
+            for x, e in zip(pt, b):
+                if x == 0 and e < 0:
+                    raise GitkitError("pole", "zero coordinate with negative exponent; "
+                                      "pick another sample point", {})
+                mono *= x ** e
+            factor = 1 - mono
+            if factor == 0:
+                raise GitkitError("pole", "sample point lies on a denominator zero; "
+                                  "pick another sample point",
+                                  {"exponent": list(b)})
+            val /= factor
+        total += val
+    return total
+
+
+def _evaluated(f, *args):
+    """repr of f's value, or the code, message and context it raised (the
+    type and text of any other exception)."""
+    try:
+        return repr(f(*args))
+    except GitkitError as e:
+        return e.code, e.message, e.context
+    except (TypeError, ValueError) as e:   # raw conversion errors must match too
+        return type(e).__name__, str(e)
+
+
+# zero, signs, 1 and -1 (so 1 - t^b can vanish) and p/q coordinates, some as text
+_EVAL_COORD = st.sampled_from([0, 1, -1, 2, -2, 3, 5, Fraction(1, 2), Fraction(-3, 2),
+                               Fraction(2, 3), Fraction(-5, 4), Fraction(3, 7),
+                               Fraction(-7, 3), "1/3", "-3", "7/5", "-11/2"])
+
+
+@st.composite
+def _series_and_point(draw):
+    """A vertex sum of a drawn polytope, a p1_chi or blowup_chi series, a
+    Weyl series, or a drawn series with multi-term numerators, at a point of
+    its rank (now and then one coordinate more or less)."""
+    kind = draw(st.sampled_from(["vertex_sum", "p1", "blowup", "weyl", "drawn", "drawn"]))
+    if kind == "vertex_sum":
+        try:
+            series = vertex_sum(draw(_smooth_or_not()))
+        except GitkitError:
+            series = p1_chi(draw(st.integers(-4, 4)))
+    elif kind == "p1":
+        series = p1_chi(draw(st.integers(-6, 6)))
+    elif kind == "blowup":
+        series = blowup_chi(draw(st.integers(-3, 4)), draw(st.integers(-3, 4)))[0]
+    elif kind == "weyl":
+        series = weyl_via_localization(draw(st.sampled_from([(1, 0), (2, 1, 0), (1, 1, 0, 0)])))[0]
+    else:
+        series = draw(_series_in_box())[0]
+    r = series.rank + draw(st.sampled_from([0] * 12 + [-1, 1]))
+    return series, tuple(draw(_EVAL_COORD) for _ in range(max(r, 0)))
+
+
+def test_evaluate_matches_reference():
+    seen = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_series_and_point())
+    def compare(case):
+        series, point = case
+        got = _evaluated(evaluate, series, point)
+        assert got == _evaluated(_ref_evaluate, series, point), case
+        for t in series.terms:
+            pt = tuple(map(parse_rat, point))
+            assert _evaluated(t.num.evaluate, pt) == _evaluated(
+                _ref_laurent_evaluate, t.num, pt), (t.num, pt)
+        seen.append(got[:2] if isinstance(got, tuple) else "value")
+
+    compare()
+    counts = {k: seen.count(k) for k in set(seen)}
+    assert counts["value"] >= 200, counts
+    for message in ("evaluation point has wrong length",
+                    "zero coordinate raised to a negative power",
+                    "zero coordinate with negative exponent; pick another sample point",
+                    "sample point lies on a denominator zero; pick another sample point"):
+        assert sum(n for k, n in counts.items() if k[1:] == (message,)) >= 20, (message, counts)
+
+
+@pytest.mark.parametrize("terms, point", [
+    ({(1, -1): 2}, (0, 0)),        # the zero with a positive exponent comes first: 0
+    ({(-1, 1): 2}, (0, 0)),        # the zero with a negative exponent comes first: a pole
+    ({(0, -2): 1, (3, 0): -4}, (0, "1/2")),
+    ({(2, 3): 5, (-2, -3): 7, (0, 0): -1}, ("-2/3", "5/7")),
+    ({(1,): 1}, ("x",)),
+    ({(1,): 1}, (1, 2)),
+    ({}, (0, 0)),
+])
+def test_laurent_evaluate_matches_reference(terms, point):
+    poly = LaurentPoly(len(next(iter(terms))) if terms else 2, terms)
+    assert _evaluated(poly.evaluate, point) == _evaluated(_ref_laurent_evaluate, poly, point)

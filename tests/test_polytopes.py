@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gitkit.lie import (
     GitkitError,
     Weight,
+    parse_rat,
     primitive_integer,
     rat,
     wdot,
@@ -25,6 +26,7 @@ from gitkit import polytopes
 from gitkit.localization import vertex_sum
 from gitkit.polytopes import (
     BGReport,
+    CutResult,
     Polytope,
     _bareiss,
     _frame_index,
@@ -1025,3 +1027,97 @@ def test_frames_box_and_points_match_reference_on_drawn_hulls():
 @given(st.lists(_COORD | st.booleans() | st.just(0), min_size=1, max_size=5))
 def test_primitive_integer_matches_reference(a):
     assert _outcome(primitive_integer, a) == _outcome(_ref_primitive_integer, a)
+
+
+# ------------------------------------------------------ the cut in integers
+#
+# `_ref_symplectic_cut` is the previous `symplectic_cut`, kept verbatim: it
+# took each vertex's value with `wdot`, each crossing in Fraction, and handed
+# every kept point to `hull`.  The cut must give the same `repr` or the same
+# error on every draw.
+
+def _ref_symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
+    """Intersect with the halfspace <normal, x> >= level.
+
+    Reports 'noop' when the halfspace already contains the polytope and
+    'empty' when it misses it entirely; otherwise returns the cut polytope
+    built from surviving vertices plus edge crossings.
+    """
+    normal = weight(normal)
+    level = parse_rat(level)
+    vals = {v: wdot(normal, v) for v in p.vertices}
+    if min(vals.values()) >= level:
+        return CutResult("noop", p)
+    if max(vals.values()) < level:
+        return CutResult("empty", None)
+    keep = [v for v in p.vertices if vals[v] >= level]
+    for u, v in p.edges():
+        a, b = vals[u], vals[v]
+        if (a - level) * (b - level) < 0:
+            t = Fraction(level - a, b - a)
+            keep.append(tuple(rat(Fraction(x) + t * (Fraction(y) - Fraction(x)))
+                              for x, y in zip(u, v)))
+    return CutResult("cut", hull(keep))
+
+
+@st.composite
+def _cuts(draw):
+    """A hull of rank 1-4 (full-dimensional or not, integer or p/q points),
+    a normal of int or p/q entries (now and then zero), and levels at every
+    vertex value, between each two, beyond both ends and one drawn."""
+    h = hull(draw(_full_dim_point_sets() | _point_sets()))
+    normal = draw(st.tuples(*[_COORD] * h.rank))
+    vals = sorted({wdot(normal, v) for v in h.vertices})
+    levels = vals + [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    levels += [vals[0] - 1, vals[-1] + Fraction(1, 3), draw(_COORD)]
+    return h, normal, levels
+
+
+def test_cut_matches_reference(monkeypatch):
+    calls, paths = [], {"direct": 0, "hull": 0}
+    build = polytopes.hull
+    monkeypatch.setattr(polytopes, "hull", lambda pts: calls.append(1) or build(pts))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_cuts())
+    def compare(case):
+        h, normal, levels = case
+        for level in levels:
+            before = len(calls)
+            got = _outcome(symplectic_cut, h, normal, level)
+            assert got == _outcome(_ref_symplectic_cut, h, normal, level), (h, normal, level)
+            if str(got).startswith("CutResult(kind='cut'"):
+                paths["hull" if len(calls) > before else "direct"] += 1
+
+    compare()
+    assert paths["direct"] >= 300 and paths["hull"] >= 50, paths
+
+
+@pytest.mark.parametrize("normal, level", [
+    ((1,), 0), ((1, 0, 0), 0), ((True, 0), 0), ((0, 0), 0), ((0, 0), 1),
+    ((1, 1), "x"), ((1, 1), "1/0"), ((1, 1), 0.5), ((1, 1), "3/2"), ((1, 1), 2),
+    ((Fraction(1, 2), Fraction(-1, 3)), Fraction(1, 6)), (("1/2", 1), 1),
+])
+def test_cut_refuses_and_accepts_like_reference(normal, level):
+    h = hull([(0, 0), (3, 0), (0, 2), (2, 2)])
+    assert _outcome(symplectic_cut, h, normal, level) == _outcome(
+        _ref_symplectic_cut, h, normal, level)
+
+
+def test_cut_of_a_full_dimensional_polytope_makes_no_hull_call(monkeypatch):
+    p = hull([(0, 0), (3, 0), (3, 1), (0, 4)])
+    calls = []
+    monkeypatch.setattr(polytopes, "hull", lambda pts: calls.append(pts))
+    out = symplectic_cut(p, (1, 2), 3)
+    assert out.kind == "cut" and not calls
+    assert out.polytope.vertices == ((0, Fraction(3, 2)), (0, 4), (3, 0), (3, 1))
+    assert repr(out.polytope) == repr(hull(out.polytope.vertices))   # the module's own hull
+
+
+def test_smoothness_is_checked_once_per_vertex(monkeypatch):
+    calls = []
+    index = polytopes._frame_index
+    monkeypatch.setattr(polytopes, "_frame_index", lambda rows: calls.append(1) or index(rows))
+    p = hull([(a, b, c) for a in (0, 2) for b in (0, 1) for c in (-1, 1)])
+    is_delzant(p), vertex_sum(p), is_delzant(p), vertex_sum(p)
+    assert len(calls) == len(p.vertices) == 8
