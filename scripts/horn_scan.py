@@ -2,10 +2,12 @@
 # report how many are feasible for the eigenvalue problem
 #     c = spec(A + B),  spec(A) = a,  spec(B) = b.
 # Feasibility is decided by the recursive inequality system and, as a
-# cross-check, compared with positivity of the tensor multiplicity.
+# cross-check, compared with positivity of the tensor multiplicity.  Exits 1
+# when the two disagree on any triple.
 
 import argparse
 import itertools
+import sys
 
 from gitkit.characters import tensor_decompose
 from gitkit.horn import check_triple
@@ -51,6 +53,8 @@ def main():
     print(f"rank {args.rank}, entries 0..{args.max_entry}: "
           f"{total} trace-balanced triples, {feasible} feasible")
     print(f"inequality system vs tensor multiplicity: {mismatches} mismatches")
+    if mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

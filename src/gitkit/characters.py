@@ -24,6 +24,7 @@ from types import MappingProxyType
 from .lie import (
     GitkitError,
     Weight,
+    WeylElement,
     dominantize,
     is_dominant,
     is_int_list,
@@ -99,9 +100,6 @@ class LaurentPoly:
 
     def coeff(self, w) -> int:
         return self.terms.get(tuple(w), 0)
-
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -241,8 +239,7 @@ def weyl_alternant(lam: Weight) -> list[tuple[Weight, int]]:
     out = []
     for perm in itertools.permutations(range(r)):
         v = tuple(target[perm[i]] for i in range(r))
-        inv = sum(1 for a in range(r) for b in range(a + 1, r) if perm[a] > perm[b])
-        out.append((wsub(v, shift), -1 if inv % 2 else 1))
+        out.append((wsub(v, shift), WeylElement(perm).sign))
     return out
 
 

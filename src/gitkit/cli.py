@@ -177,8 +177,7 @@ def _slope(s) -> dict:
 def _destab(res) -> dict:
     if res is None:
         return {"semistable": True}
-    return {"lam_star": lie.weight_to_json(res.lam_star),
-            "slope_sq": lie.fmt_rat(res.slope_sq), "slope": res.slope}
+    return {k: v for k, v in stability.verdict_to_json(res).items() if k != "verdict"}
 
 
 def _lattice(pts) -> dict:

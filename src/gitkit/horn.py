@@ -99,7 +99,7 @@ class CheckResult:
     violated: tuple | None         # ('trace',) or (I, J, K)
 
 
-def check_triple(a, b, c, system: HornSystem | None = None) -> CheckResult:
+def check_triple(a, b, c) -> CheckResult:
     """Exact membership test: can spectra a and b of Hermitian matrices add up
     to a matrix with spectrum c?  Reports the first violated constraint."""
     a, b, c = spectrum(a), spectrum(b), spectrum(c)
@@ -109,35 +109,14 @@ def check_triple(a, b, c, system: HornSystem | None = None) -> CheckResult:
                           {"lengths": [len(a), len(b), len(c)]})
     if sum(a) + sum(b) != sum(c):
         return CheckResult(False, ("trace",))
-    if system is None:
-        system = generate_horn_system(r, "all-positive")
-    elif system.r != r:
-        raise GitkitError("rank_mismatch", "system rank does not match spectra",
-                          {"system": system.r, "spectra": r})
-    for i_set, j_set, k_set, _n in system.triples:
+    if r == 1:      # the trace identity is the whole system
+        return CheckResult(True, None)
+    for i_set, j_set, k_set, _n in generate_horn_system(r, "all-positive").triples:
         lhs = sum(a[i - 1] for i in i_set) + sum(b[j - 1] for j in j_set)
         rhs = sum(c[k - 1] for k in k_set)
         if lhs > rhs:
             return CheckResult(False, (i_set, j_set, k_set))
     return CheckResult(True, None)
-
-
-def zero_sum_spectra(a, b, c):
-    """Rewrite (a, b, c = a + b) as three spectra summing to zero: negate and
-    reverse the third."""
-    a, b, c = spectrum(a), spectrum(b), spectrum(c)
-    c3 = tuple(-x for x in reversed(c))
-    return a, b, c3
-
-
-def zero_sum_triples(system: HornSystem) -> list:
-    """Index triples for the zero-sum form: sums over (I, J, K') are <= 0,
-    where K' reflects K through k -> r + 1 - k."""
-    out = []
-    for i_set, j_set, k_set, n in system.triples:
-        k_ref = tuple(sorted(system.r + 1 - k for k in k_set))
-        out.append((i_set, j_set, k_ref, n))
-    return out
 
 
 def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[float]:
@@ -237,7 +216,7 @@ def _off_norms(s_mat):
     return np.sqrt(np.sum(off_sq.reshape(len(s_mat), n * n), axis=1))
 
 
-def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
+def _jacobi_batch(hs) -> list:
     """Spectra, each descending, of a stack (B, r, r) of Hermitian matrices.
 
     Cyclic Jacobi runs on the stack of real symmetric doublings in lockstep:
@@ -247,14 +226,15 @@ def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
     off-diagonal norm decide when it leaves the batch, a lane whose pivot is
     negligible keeps its values by selection (an identity rotation could
     turn -0.0 into +0.0), and no operation sums across entries in a new order.
+    It runs jacobi_eigenvalues' default tol (1e-12) and sweep cap (100).
     """
     s_mat = _doubling(hs)
     n = s_mat.shape[-1]
     scale = _scales(s_mat)
     live = np.arange(len(s_mat))
     out = [None] * len(s_mat)
-    for _sweep in range(max_sweeps):
-        done = _off_norms(s_mat) <= tol * scale
+    for _sweep in range(100):
+        done = _off_norms(s_mat) <= 1e-12 * scale
         for k in np.flatnonzero(done):
             out[live[k]] = sorted(np.diag(s_mat[k]).tolist(), reverse=True)[0::2]
         if done.any():
@@ -288,7 +268,7 @@ def _jacobi_batch(hs, tol: float = 1e-12, max_sweeps: int = 100) -> list:
                     s_mat[:, p, :], s_mat[:, q, :] = new_p, new_q
     if len(live):
         raise GitkitError("jacobi_no_convergence",
-                          f"Jacobi iteration did not converge in {max_sweeps} sweeps", {"n": n})
+                          "Jacobi iteration did not converge in 100 sweeps", {"n": n})
     return out
 
 
@@ -316,16 +296,11 @@ def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
     system = generate_horn_system(r, "all-positive")
     rng = np.random.default_rng(seed)
     m = len(system.triples)
-    mask_i = np.zeros((m, r))
-    mask_j = np.zeros((m, r))
-    mask_k = np.zeros((m, r))
-    for row, (i_set, j_set, k_set, _n) in enumerate(system.triples):
-        for i in i_set:
-            mask_i[row, i - 1] = 1.0
-        for j in j_set:
-            mask_j[row, j - 1] = 1.0
-        for k in k_set:
-            mask_k[row, k - 1] = 1.0
+    masks = np.zeros((3, m, r))       # the I, J and K of each triple as 0/1 rows
+    for row, triple in enumerate(system.triples):
+        for mask, index_set in zip(masks, triple[:3]):
+            mask[row, [i - 1 for i in index_set]] = 1.0
+    mask_i, mask_j, mask_k = masks
 
     # one draw in the per-trial order: real and imaginary parts of ma, then of mb
     g = rng.standard_normal((trials, 4, r, r))

@@ -7,10 +7,10 @@ consistently, so weights can key dicts directly.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 Weight = tuple
 
@@ -96,10 +96,6 @@ def wneg(a: Weight) -> Weight:
     return tuple(rat(-x) for x in a)
 
 
-def wscale(c, a: Weight) -> Weight:
-    return tuple(rat(c * x) for x in a)
-
-
 def wdot(a: Weight, b: Weight):
     return rat(sum(x * y for x, y in _pairs(a, b)))
 
@@ -108,18 +104,8 @@ def wnorm_sq(a: Weight):
     return wdot(a, a)
 
 
-def is_zero(a: Weight) -> bool:
-    return all(x == 0 for x in a)
-
-
 def is_integral(a: Weight) -> bool:
     return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in a)
-
-
-def as_int_weight(a: Weight) -> tuple[int, ...]:
-    if not is_integral(a):
-        raise GitkitError("not_integral", "integer weight required", {"weight": weight_to_json(a)})
-    return tuple(int(x) for x in a)
 
 
 def primitive_integer(a: Weight) -> tuple[int, ...]:
@@ -157,20 +143,27 @@ class WeylElement:
             out[pi] = mu[i]
         return tuple(out)
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
 
-    @staticmethod
-    def identity(r: int) -> "WeylElement":
-        return WeylElement(tuple(range(r)))
+ORBIT_POINTS_CAP = 10 ** 6
 
 
 def weyl_orbit(lam: Weight, r: int) -> set[Weight]:
-    """All coordinate permutations of lam, deduplicated."""
+    """All coordinate permutations of lam, each made once: entries are inserted
+    one at a time, each right of the equal entries already placed.  An orbit of
+    more than ORBIT_POINTS_CAP points (r! / prod of multiplicity factorials) is
+    refused (too_large) before any point is made."""
     if len(lam) != r:
         raise GitkitError("rank_mismatch", "weight length does not match rank",
                           {"rank": r, "weight": weight_to_json(lam)})
-    return {tuple(p) for p in itertools.permutations(lam)}
+    points = factorial(r) // prod(map(factorial, Counter(lam).values()))
+    if points > ORBIT_POINTS_CAP:
+        raise GitkitError("too_large", f"Weyl orbit capped at {ORBIT_POINTS_CAP} points",
+                          {"points": points, "cap": ORBIT_POINTS_CAP})
+    orbit = [()]
+    for x in lam:
+        orbit = [p[:i] + (x,) + p[i:] for p in orbit
+                 for i in range(len(p) - p[::-1].index(x) if x in p else 0, len(p) + 1)]
+    return set(orbit)
 
 
 def rho(r: int) -> Weight:

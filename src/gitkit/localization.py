@@ -33,6 +33,7 @@ from .lie import (
     GitkitError,
     fmt_rat,
     is_int_list,
+    is_integral,
     parse_rat,
     wdot,
     weight,
@@ -83,6 +84,12 @@ class Term:
 @dataclass(frozen=True)
 class ConeSeries:
     terms: tuple
+
+    def __post_init__(self):
+        ranks = {t.num.rank for t in self.terms}
+        if len(ranks) > 1:
+            raise GitkitError("rank_mismatch", "series terms have different ranks",
+                              {"ranks": sorted(ranks)})
 
     @property
     def rank(self) -> int:
@@ -301,7 +308,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
     of the sum is exactly the lattice-point indicator."""
     r = p.rank
     for v in p.vertices:
-        if any(Fraction(x).denominator != 1 for x in v):
+        if not is_integral(v):
             raise GitkitError("not_lattice", "vertex sum needs integer vertices",
                               {"vertex": [fmt_rat(x) for x in v]})
     d = p.dim
@@ -316,7 +323,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
         if len(es) != d:
             raise GitkitError("not_smooth", "vertex does not have dim-many edges",
                               {"vertex": [fmt_rat(x) for x in v], "edges": len(es)})
-        if p._frame_index_at(v) != 1:
+        if p._frame_indices[v] != 1:
             span = "" if d == r else " in its span"
             raise GitkitError("not_smooth", "edge frame is not unimodular" + span,
                               {"vertex": [fmt_rat(x) for x in v]})

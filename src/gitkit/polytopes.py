@@ -29,6 +29,7 @@ from .lie import (
     Weight,
     fmt_rat,
     is_dominant,
+    is_integral,
     parse_rat,
     primitive_integer,
     rat,
@@ -130,11 +131,6 @@ class Polytope:
         return (all(sum(map(mul, n, x)) == off for n, off in self.equations)
                 and all(sum(map(mul, n, x)) >= off for n, off in self.facets))
 
-    def contains_relint(self, x: Weight) -> bool:
-        x = self._point(x)
-        return (all(sum(map(mul, n, x)) == off for n, off in self.equations)
-                and all(sum(map(mul, n, x)) > off for n, off in self.facets))
-
     def active_facets(self, x: Weight) -> tuple[int, ...]:
         x = self._point(x)
         return tuple(i for i, (n, off) in enumerate(self.facets) if sum(map(mul, n, x)) == off)
@@ -176,16 +172,9 @@ class Polytope:
 
     @cached_property
     def _frame_indices(self) -> dict:
-        """Each vertex's frame index, filled in by _frame_index_at."""
-        return {}
-
-    def _frame_index_at(self, v: Weight) -> int:
-        """_frame_index of the edge frame at vertex v, computed once per vertex
-        on first use (is_delzant and vertex_sum both ask)."""
-        known = self._frame_indices
-        if v not in known:
-            known[v] = _frame_index(self._frames[v])
-        return known[v]
+        """The _frame_index of each vertex's edge frame, built once for
+        is_delzant and vertex_sum."""
+        return {v: _frame_index(es) for v, es in self._frames.items()}
 
     def faces(self) -> list[tuple[int, tuple, tuple[int, ...]]]:
         """All nonempty faces, the polytope itself included, as sorted
@@ -371,14 +360,13 @@ def is_delzant(p: Polytope) -> DelzantReport:
     if p.dim != r:
         raise GitkitError("not_full_dim", "Delzant test needs a full-dimensional polytope",
                           {"dim": p.dim, "rank": r})
-    frames = p.edge_frames()
     for v in p.vertices:  # vertices are stored lex sorted
-        if any(Fraction(x).denominator != 1 for x in v):
+        if not is_integral(v):
             return DelzantReport(False, v, "non-integer vertex")
-        dirs = sorted(frames[v])
+        dirs = sorted(p._frames[v])
         if len(dirs) != r:
             return DelzantReport(False, v, f"{len(dirs)} edges at a rank-{r} vertex")
-        if p._frame_index_at(v) != 1:
+        if p._frame_indices[v] != 1:
             return DelzantReport(False, v, f"edge frame determinant {_bareiss(dirs)[2]}")
     return DelzantReport(True, None, "")
 

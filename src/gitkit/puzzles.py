@@ -123,19 +123,16 @@ def enumerate_puzzles(r: int, i_set, j_set, k_set, limit: int | None = None) -> 
             return
         if i > r:
             if s_prev == target:
-                results.append(_edges_from_rows(r, rows, s_prevs_from_rows(rows)))
+                results.append(_edges_from_rows(r, rows))
             return
         for svec, ups in _row_fillings(i, nw[i - 1], ne[i - 1], s_prev):
             rec(i + 1, svec, rows + (ups,))
-
-    def s_prevs_from_rows(rows):
-        return [tuple(p[2] for p in row) for row in rows]
 
     rec(1, (), ())
     return results
 
 
-def _edges_from_rows(r: int, rows, svecs) -> dict:
+def _edges_from_rows(r: int, rows) -> dict:
     edges = {}
     for i in range(1, r + 1):
         ups = rows[i - 1]
@@ -145,7 +142,7 @@ def _edges_from_rows(r: int, rows, svecs) -> dict:
             edges[f"U:{i}:{j}:NE"] = ne_l
             edges[f"U:{i}:{j}:S"] = s_l
         for j in range(1, i):
-            n_l = svecs[i - 2][j - 1]
+            n_l = rows[i - 2][j - 1][2]     # the S edge of the up-piece above
             sw_l = ups[j - 1][1]
             se_l = ups[j][0]
             edges[f"D:{i}:{j}:N"] = n_l
@@ -237,9 +234,7 @@ def lr_coefficient(r: int, s: int, lam, mu, nu) -> int:
     if s == 0:
         ok = all(not tuple(p) or max(p, default=0) == 0 for p in (lam, mu, nu))
         return 1 if ok else 0
-    i_set = partition_to_subset(r, s, lam)
-    j_set = partition_to_subset(r, s, mu)
-    k_set = partition_to_subset(r, s, nu)
+    i_set, j_set, k_set = (partition_to_subset(r, s, p) for p in (lam, mu, nu))
     return count_puzzles(r, i_set, j_set, k_set)
 
 

@@ -279,12 +279,6 @@ class HMSlope:
         root = math.sqrt(_float(self.num * self.num / self.lam_normsq, "slope"))
         return -root if self.num < 0 else root
 
-    def cmp(self, other: "HMSlope") -> int:
-        # t -> t|t| is increasing, and maps num / |lam| to num |num| / |lam|^2
-        a = self.num * abs(self.num) / self.lam_normsq
-        b = other.num * abs(other.num) / other.lam_normsq
-        return (a > b) - (a < b)
-
 
 def hm_slope(x: ProjPoint, lam: Weight) -> HMSlope:
     lam = weight(lam)

@@ -79,6 +79,14 @@ def test_horn_check_exact_stdout(capsys):
     assert json.loads(out)["violated"] == "trace"
 
 
+def test_horn_check_at_rank_one(capsys):
+    # the trace identity is the whole system at r = 1
+    code, out, err = run(["horn", "check", "--a", "1", "--b", "1", "--c", "2"], capsys)
+    assert (code, out, err) == (0, '{"feasible": true}\n', "")
+    code, out, _ = run(["horn", "check", "--a", "1", "--b", "1", "--c", "3"], capsys)
+    assert (code, out) == (0, '{"feasible": false, "violated": "trace"}\n')
+
+
 def test_puzzle_count_and_listing(capsys):
     code, out, _ = run(["puzzles", "count", "--r", "4", "--I", "2,4",
                         "--J", "2,4", "--K", "2,3"], capsys)
@@ -287,6 +295,26 @@ def test_box_point_cap_exits_one(capsys):
     assert json.loads(err) == {"code": "too_large",
                                "message": "box expansion capped at 1000000 box points",
                                "context": {"points": 10000200001, "cap": 1000000}}
+
+
+def test_series_terms_of_different_ranks_exit_one(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([
+        {"num": [{"w": [1], "c": 1}], "den": [[-1]], "dir": ["1"]},
+        {"num": [{"w": [1, 5], "c": 1}], "den": [[-1, 0]], "dir": ["1", "0"]}]))
+    code, out, err = run(["localize", "expand", "--in", str(path), "--box", "0:3"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "rank_mismatch",
+                               "message": "series terms have different ranks",
+                               "context": {"ranks": [1, 2]}}
+
+
+def test_weyl_orbit_cap_exits_one(capsys):
+    code, out, err = run(["lie", "orbit", "--lambda", "9,8,7,6,5,4,3,2,1,0"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "too_large",
+                               "message": "Weyl orbit capped at 1000000 points",
+                               "context": {"points": 3628800, "cap": 1000000}}
 
 
 def test_missing_infile_exits_one(tmp_path, capsys):

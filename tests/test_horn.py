@@ -4,14 +4,19 @@ numpy.linalg.eigvalsh is the frozen oracle for the hand-rolled Jacobi sweep;
 the two implementations share no code beyond matrix storage.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitkit.characters import _su2_invariant_dim
+from gitkit import horn
+from gitkit.characters import _su2_invariant_dim, tensor_decompose
 from gitkit.horn import (
     SampleReport,
     _horn_system,
@@ -23,8 +28,6 @@ from gitkit.horn import (
     sample_hermitian_validate,
     sl2_config_semistable,
     spectrum,
-    zero_sum_spectra,
-    zero_sum_triples,
 )
 from gitkit.lie import GitkitError
 
@@ -89,30 +92,17 @@ def test_check_triple_rational():
     assert check_triple(a, b, edge).feasible is False
 
 
+@pytest.mark.parametrize("c", [(2,), (3,), (1,)])
+def test_check_triple_at_rank_one_is_the_trace_identity(c):
+    # at r = 1 the answer must not depend on whether the trace holds
+    res = check_triple((1,), (1,), c)
+    assert res.feasible == (c in tensor_decompose((1,), (1,)))
+    assert res.violated == (None if res.feasible else ("trace",))
+
+
 def test_check_triple_boundary_is_feasible():
     # equality in an inequality is still membership
     assert check_triple((2, 1, 0), (0, 0, 0), (2, 1, 0)).feasible
-
-
-def test_zero_sum_rewrite():
-    a, b, c3 = zero_sum_spectra((3, 1), (2, 1), (4, 3))
-    assert a == (3, 1) and b == (2, 1)
-    assert c3 == (-3, -4)
-    assert sum(a) + sum(b) + sum(c3) == 0
-    sys2 = generate_horn_system(2)
-    zs = zero_sum_triples(sys2)
-    assert len(zs) == len(sys2.triples)
-    # K reflects through k -> r + 1 - k
-    assert ((1,), (2,), (2,), 1) in zs
-    assert ((2,), (2,), (1,), 1) in zs
-
-
-def test_zero_sum_triples_bound_the_rewrite():
-    a, b, c3 = zero_sum_spectra((3, 1), (2, 1), (5, 2))
-    for i_set, j_set, k_set, _n in zero_sum_triples(generate_horn_system(2)):
-        total = (sum(a[i - 1] for i in i_set) + sum(b[j - 1] for j in j_set)
-                 + sum(c3[k - 1] for k in k_set))
-        assert total <= 0
 
 
 def test_jacobi_matches_library_on_reals():
@@ -472,3 +462,31 @@ def test_sl2_semistability():
         sl2_config_semistable([("p", 1)], expected_total=3)
     with pytest.raises(GitkitError):
         sl2_config_semistable([])
+
+
+# scripts/horn_scan.py compares the inequality system with tensor
+# multiplicities.  With check_triple patched to call every triple feasible,
+# the scan must report mismatches and exit 1.
+SCAN = Path(__file__).resolve().parents[1] / "scripts" / "horn_scan.py"
+ALWAYS_FEASIBLE = """
+import runpy, sys
+from gitkit import horn
+horn.check_triple = lambda a, b, c: horn.CheckResult(True, None)
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_horn_scan_exits_one_on_a_mismatch(tmp_path):
+    src = str(Path(horn.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    args = [str(SCAN), "--rank", "3", "--max-entry", "2"]
+    ok = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                        cwd=tmp_path, env=env, timeout=300)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.endswith(": 0 mismatches\n")
+    bad = subprocess.run([sys.executable, "-c", ALWAYS_FEASIBLE, *args],
+                         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+    assert bad.returncode == 1
+    assert "MISMATCH" in bad.stdout

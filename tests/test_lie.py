@@ -1,14 +1,16 @@
 """Weight arithmetic and symmetric-group basics."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gitkit.lie import (
+    ORBIT_POINTS_CAP,
     GitkitError,
     WeylElement,
-    as_int_weight,
     dominantize,
     fmt_rat,
     is_dominant,
@@ -25,7 +27,6 @@ from gitkit.lie import (
     weyl_orbit,
     wneg,
     wnorm_sq,
-    wscale,
     wsub,
 )
 
@@ -76,7 +77,6 @@ def test_arithmetic():
     assert wadd(a, b) == (Fraction(3, 2), 2, 2)
     assert wsub(a, b) == (Fraction(1, 2), 2, 4)
     assert wneg(b) == (Fraction(-1, 2), 0, 1)
-    assert wscale(2, b) == (1, 0, -2)
     assert wdot(a, b) == Fraction(-5, 2)
     assert wnorm_sq(a) == 14
 
@@ -92,9 +92,6 @@ def test_length_mismatch_raises():
 def test_integrality():
     assert is_integral((1, Fraction(4, 2)))
     assert not is_integral((Fraction(1, 2),))
-    assert as_int_weight((1, Fraction(4, 2))) == (1, 2)
-    with pytest.raises(GitkitError):
-        as_int_weight((Fraction(1, 2),))
 
 
 @pytest.mark.parametrize("vec,prim", [
@@ -118,20 +115,35 @@ def test_weyl_element_apply_and_sign():
     assert w.apply((5, 7, 9)) == (7, 5, 9)
     assert w.length == 1
     assert w.sign == -1
-    assert WeylElement.identity(3).apply((5, 7, 9)) == (5, 7, 9)
-
-
-def test_compose_matches_sequential_apply():
-    u = WeylElement((1, 2, 0))
-    v = WeylElement((0, 2, 1))
-    mu = (3, 1, 4)
-    assert u.compose(v).apply(mu) == u.apply(v.apply(mu))
+    assert WeylElement((0, 1, 2)).apply((5, 7, 9)) == (5, 7, 9)
 
 
 def test_weyl_orbit_sizes():
     assert len(weyl_orbit((2, 1, 0), 3)) == 6
     assert len(weyl_orbit((1, 1, 0), 3)) == 3
     assert len(weyl_orbit((0, 0, 0), 3)) == 1
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), max_size=6))
+def test_weyl_orbit_is_the_set_of_permutations(lam):
+    lam = tuple(lam)
+    assert weyl_orbit(lam, len(lam)) == set(itertools.permutations(lam))
+
+
+def test_weyl_orbit_is_capped_before_any_point_is_made():
+    start = time.perf_counter()
+    with pytest.raises(GitkitError) as e:
+        weyl_orbit(tuple(range(10)), 10)
+    assert time.perf_counter() - start < 1
+    assert e.value.code == "too_large"
+    assert e.value.context == {"points": 3628800, "cap": ORBIT_POINTS_CAP}
+
+
+def test_weyl_orbit_below_the_cap_answers():
+    assert len(weyl_orbit(tuple(range(9)), 9)) == 362880
+    # 12 points, though the rank-12 symmetric group has 479001600 elements
+    unit = (1,) + (0,) * 11
+    assert weyl_orbit(unit, 12) == {tuple(int(i == j) for j in range(12)) for i in range(12)}
 
 
 def test_rho():

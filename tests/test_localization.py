@@ -91,10 +91,14 @@ def test_term_rejects_rank_mismatch():
     (lambda: ConeSeries.from_json([{"num": [{"w": [1, 0], "c": 1}, {"w": [1], "c": 0}],
                                     "den": [], "dir": ["1", "1"]}]), "rank_mismatch",
      "exponent length does not match rank", {"rank": 2, "exponent": [1]}),
+    (lambda: ConeSeries((Term(LaurentPoly.one(2), (), (1, 1)), Term(LaurentPoly.one(1), (), (1,)))),
+     "rank_mismatch", "series terms have different ranks", {"ranks": [1, 2]}),
+    (lambda: p1_chi(1) + ConeSeries((Term(LaurentPoly.one(2), (), (1, 1)),)),
+     "rank_mismatch", "series terms have different ranks", {"ranks": [1, 2]}),
 ], ids=["term-dir-rank", "term-den-rank", "term-zero-den", "term-direction",
         "term-den-fraction", "term-den-float", "term-den-bool", "poly-rank",
         "poly-exponent", "poly-coefficient", "poly-zero-rank", "poly-zero-exponent",
-        "series-zero-rank"])
+        "series-zero-rank", "series-mixed-rank", "series-sum-mixed-rank"])
 def test_public_constructors_check_what_internal_builders_skip(build, code, message, context):
     with pytest.raises(GitkitError) as exc:
         build()

@@ -76,8 +76,8 @@ def test_hull_lower_dimensional_segment():
     assert all(sum(a * b for a, b in zip(n, v)) == off for v in h.vertices)
     assert h.contains((1, 1))
     assert not h.contains((1, 0))
-    assert h.contains_relint((1, 1))
-    assert not h.contains_relint((0, 0))
+    assert not h.active_facets((1, 1))      # in the relative interior
+    assert h.active_facets((0, 0))          # a vertex: on the relative boundary
 
 
 def test_hull_single_point():
@@ -164,7 +164,7 @@ def test_kostant_polytope_hexagon():
     # all permutations share the coordinate sum
     assert {sum(v) for v in h.vertices} == {3}
     assert h.contains((1, 1, 1))
-    assert h.contains_relint((1, 1, 1))
+    assert not h.active_facets((1, 1, 1))
 
 
 def test_kostant_needs_dominant():
@@ -605,12 +605,6 @@ def _ref_contains(self, x: Weight) -> bool:
             and all(wdot(n, x) >= off for n, off in self.facets))
 
 
-def _ref_contains_relint(self, x: Weight) -> bool:
-    x = weight(x)
-    return (all(wdot(n, x) == off for n, off in self.equations)
-            and all(wdot(n, x) > off for n, off in self.facets))
-
-
 def _ref_active_facets(self, x: Weight) -> tuple[int, ...]:
     x = weight(x)
     return tuple(i for i, (n, off) in enumerate(self.facets) if wdot(n, x) == off)
@@ -635,7 +629,6 @@ def test_facet_tests_match_reference(case):
     h, probes = case
     for x in probes:
         assert h.contains(x) == _ref_contains(h, x), x
-        assert h.contains_relint(x) == _ref_contains_relint(h, x), x
         assert h.active_facets(x) == _ref_active_facets(h, x), x
 
 
