@@ -101,12 +101,15 @@ class CheckResult:
 
 def check_triple(a, b, c) -> CheckResult:
     """Exact membership test: can spectra a and b of Hermitian matrices add up
-    to a matrix with spectrum c?  Reports the first violated constraint."""
+    to a matrix with spectrum c?  Reports the first violated constraint.
+    Spectra of rank 1 to 6 are answered; any other rank is refused."""
     a, b, c = spectrum(a), spectrum(b), spectrum(c)
     r = len(a)
     if len(b) != r or len(c) != r:
         raise GitkitError("rank_mismatch", "spectra must share a length",
                           {"lengths": [len(a), len(b), len(c)]})
+    if not 1 <= r <= 6:
+        raise GitkitError("bad_rank", "spectra supported for 1 <= r <= 6", {"r": r})
     if sum(a) + sum(b) != sum(c):
         return CheckResult(False, ("trace",))
     if r == 1:      # the trace identity is the whole system

@@ -87,6 +87,15 @@ def test_horn_check_at_rank_one(capsys):
     assert (code, out) == (0, '{"feasible": false, "violated": "trace"}\n')
 
 
+def test_horn_check_above_rank_six_exits_one(capsys):
+    code, out, err = run(["horn", "check", "--a", "1,1,1,1,1,1,1", "--b", "1,1,1,1,1,1,1",
+                          "--c", "2,2,2,2,2,2,2"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "bad_rank",
+                               "message": "spectra supported for 1 <= r <= 6",
+                               "context": {"r": 7}}
+
+
 def test_puzzle_count_and_listing(capsys):
     code, out, _ = run(["puzzles", "count", "--r", "4", "--I", "2,4",
                         "--J", "2,4", "--K", "2,3"], capsys)

@@ -100,6 +100,18 @@ def test_check_triple_at_rank_one_is_the_trace_identity(c):
     assert res.violated == (None if res.feasible else ("trace",))
 
 
+@pytest.mark.parametrize("a, b, c", [
+    ((1,) * 7, (1,) * 7, (3,) * 7),     # the trace fails: refused all the same
+    ((1,) * 7, (1,) * 7, (2,) * 7),     # the trace holds
+    ((), (), ()),
+])
+def test_check_triple_refuses_ranks_outside_one_to_six(a, b, c):
+    with pytest.raises(GitkitError) as exc:
+        check_triple(a, b, c)
+    assert (exc.value.code, exc.value.message, exc.value.context) == (
+        "bad_rank", "spectra supported for 1 <= r <= 6", {"r": len(a)})
+
+
 def test_check_triple_boundary_is_feasible():
     # equality in an inequality is still membership
     assert check_triple((2, 1, 0), (0, 0, 0), (2, 1, 0)).feasible

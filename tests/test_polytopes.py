@@ -4,6 +4,7 @@ tangent-cone identity."""
 import copy
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from gitkit.lie import (
     GitkitError,
     Weight,
+    is_dominant,
     parse_rat,
     primitive_integer,
     rat,
@@ -666,10 +668,18 @@ def test_edge_users_match_subset_reference(pts, monkeypatch):
 
 
 def test_kostant_rank5_and_rank6_permutahedra():
-    # the subset loop needs minutes for these (8.2 M subsets at rank 5)
     h5 = kostant_polytope((4, 3, 2, 1, 0))
     assert (len(h5.facets), len(h5.vertices), h5.dim) == (30, 120, 4)
     h6 = kostant_polytope((5, 4, 3, 2, 1, 0))
+    assert (len(h6.facets), len(h6.vertices), h6.dim) == (62, 720, 5)
+
+
+def test_hull_of_rank5_and_rank6_permutahedra():
+    # double description on the orbits; the subset loop needs minutes for
+    # these (8.2 M subsets at rank 5)
+    h5 = hull(weyl_orbit((4, 3, 2, 1, 0), 5))
+    assert (len(h5.facets), len(h5.vertices), h5.dim) == (30, 120, 4)
+    h6 = hull(weyl_orbit((5, 4, 3, 2, 1, 0), 6))
     assert (len(h6.facets), len(h6.vertices), h6.dim) == (62, 720, 5)
 
 
@@ -718,6 +728,11 @@ def test_permutahedra_face_counts():
     assert len(kostant_polytope((5, 4, 3, 2, 1, 0)).faces()) == 4683
 
 
+def test_hull_permutahedra_face_counts():
+    assert len(hull(weyl_orbit((4, 3, 2, 1, 0), 5)).faces()) == 541
+    assert len(hull(weyl_orbit((5, 4, 3, 2, 1, 0), 6)).faces()) == 4683
+
+
 def test_hull_makes_no_elimination_per_point(monkeypatch):
     calls = []
 
@@ -726,10 +741,107 @@ def test_hull_makes_no_elimination_per_point(monkeypatch):
         return _bareiss(rows)
 
     monkeypatch.setattr(polytopes, "_bareiss", counted)
-    kostant_polytope((1, 0, 0, 0, 0))       # 5 points
+    hull(weyl_orbit((1, 0, 0, 0, 0), 5))    # 5 points
     few = len(calls)
-    kostant_polytope((4, 3, 2, 1, 0))       # 120 points
+    assert few
+    hull(weyl_orbit((4, 3, 2, 1, 0), 5))    # 120 points
     assert len(calls) - few == few
+
+
+# ------------------------------------ Kostant polytopes from their inequalities
+#
+# `_ref_kostant_polytope` is the previous `kostant_polytope`, kept verbatim: it
+# ran `hull` on the Weyl orbit.  The new one writes the Schur-Horn facets down
+# and must give the same `repr` and JSON, and the same errors.
+
+def _ref_kostant_polytope(lam: Weight) -> Polytope:
+    """Convex hull of all coordinate permutations of a weakly decreasing weight."""
+    lam = weight(lam)
+    if not is_dominant(lam):
+        raise GitkitError("not_dominant", "weight entries must be weakly decreasing",
+                          {"weight": weight_to_json(lam)})
+    return hull(weyl_orbit(lam, len(lam)))
+
+
+def _assert_same_kostant(lam):
+    got, want = kostant_polytope(lam), _ref_kostant_polytope(lam)
+    assert repr(got) == repr(want), lam
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json()), lam
+
+
+def test_kostant_matches_hull_on_c10_orbits():
+    # every orbit of c10: rank 1-4, highest weight entries 0-5
+    for r in range(1, 5):
+        for lam in itertools.product(range(5, -1, -1), repeat=r):
+            if all(lam[i] >= lam[i + 1] for i in range(r - 1)):
+                _assert_same_kostant(lam)
+
+
+@pytest.mark.parametrize("lam", [(), (4, 3, 2, 1, 0), (5, 4, 3, 2, 1, 0), (2, 2, 1, 1, 0, 0),
+                                 (3, 3, 3, 3, 3, 3), (Fraction(5, 2), Fraction(1, 3), -1)])
+def test_kostant_matches_hull_on_hand_cases(lam):
+    _assert_same_kostant(lam)
+
+
+def test_kostant_matches_hull_on_drawn_weights():
+    # 300 weights of rank 1-6 drawn from pools of entries, so ties are common;
+    # a rank-6 weight has at most 4 distinct entries (a hull of 360 or 720
+    # points takes 0.1-0.2 s)
+    rng = random.Random(24)
+    seen = {"tie": 0, "negative": 0, "fraction": 0, "constant": 0, "rank6": 0}
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        pool = [rng.choice((rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, 4))))
+                for _ in range(rng.randint(1, 4 if r == 6 else r))]
+        lam = tuple(sorted(pool + [rng.choice(pool) for _ in range(r - len(pool))], reverse=True))
+        seen["tie"] += len(set(lam)) < r
+        seen["negative"] += any(x < 0 for x in lam)
+        seen["fraction"] += any(type(rat(x)) is Fraction for x in lam)
+        seen["constant"] += len(set(lam)) == 1
+        seen["rank6"] += r == 6
+        _assert_same_kostant(lam)
+    assert min(seen.values()) >= 30, seen
+
+
+def _raised(f, *args):
+    """The exception f raised: its type, and for a GitkitError its code,
+    message and context."""
+    try:
+        f(*args)
+    except GitkitError as e:
+        return e.code, e.message, e.context
+    except Exception as e:
+        return type(e), str(e)
+    raise AssertionError(f"no error from {f.__name__}{args}")
+
+
+@pytest.mark.parametrize("lam", [
+    (True, 0), (1, "x"), (None,), (1, float("nan")),           # bad entries
+    (0, 1), (2, Fraction(5, 2), 0), (1, 0, 0, 1),              # not dominant
+    (1, 0, 2, "x"),                                            # entries first
+    tuple(range(9, -1, -1)),                                   # 3628800 points
+    (5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0, 0),                      # 7484400 points
+])
+def test_kostant_refuses_like_reference(lam):
+    assert _raised(kostant_polytope, lam) == _raised(_ref_kostant_polytope, lam)
+
+
+def test_kostant_makes_no_hull_call(monkeypatch):
+    lams = [(), (3,), (2, 2, 2), (2, 1, 0), (Fraction(5, 2), Fraction(1, 3), -1),
+            (2, 2, 1, 1, 0, 0), (5, 4, 3, 2, 1, 0)]
+    want = [repr(hull(weyl_orbit(weight(lam), len(lam)))) for lam in lams]
+    calls = []
+    monkeypatch.setattr(polytopes, "hull", lambda pts: calls.append(pts))
+    assert [repr(kostant_polytope(lam)) for lam in lams] == want
+    assert not calls
+
+
+def test_kostant_rank7_permutahedron():
+    # the double description of these 5040 points takes seconds
+    h = kostant_polytope((6, 5, 4, 3, 2, 1, 0))
+    assert (len(h.facets), len(h.vertices), h.dim) == (126, 5040, 6)
+    assert h.equations == (((1,) * 7, 21),)
+    assert h.facets[0] == ((-6, 1, 1, 1, 1, 1, 1), -21)      # x_1 <= 6
 
 
 @pytest.mark.parametrize("pts, verts", [
