@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from . import characters, lie, localization, polytopes, puzzles, stability
+from . import characters, horn, lie, localization, polytopes, puzzles, stability
 from .lie import GitkitError
 
 
@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 def _weight_arg(s: str):
     try:
         return tuple(lie.parse_rat(p) for p in s.split(","))
-    except (GitkitError, ValueError, ZeroDivisionError) as exc:
+    except GitkitError as exc:
         raise argparse.ArgumentTypeError(f"bad weight {s!r}: {exc}")
 
 
@@ -223,7 +223,11 @@ def _weyl_series(series, poly) -> dict:
     return {"series": series.to_json(), **_character(poly)}
 
 
-def _examples(rows, all_ok) -> None:
+def _examples(args) -> None:
+    # imported here, so that no other command pays for loading the examples
+    from . import examples
+
+    rows, all_ok = examples.run_all()
     width = max(len(r[0]) for r in rows)
     for name, status, detail in rows:
         print(f"{name:<{width}}  {status:<4}  {detail}")
@@ -264,133 +268,116 @@ _GROUPS = {
 }
 
 
-def _op(group, op, func, flags, run):
-    """One row of COMMANDS.  `func` names the library function as
-    "module.name"; `run(f, args)` calls it as `f` and returns the JSON value
-    to print (a string prints as is, None prints nothing)."""
-    return group, op, func, flags, run
-
-
+# One row per command: (group, op, flags, run).  `run(args)` calls the library
+# and returns the JSON value to print (a string prints as is, None prints
+# nothing).  It reads each function off its module at call time, so whatever
+# the module binds under that name then is called.
 COMMANDS = (
-    _op("lie", "orbit", "lie.weyl_orbit", [_LAMBDA, _opt("--r", int, 0)],
-        lambda f, a: {"orbit": _weights(sorted(f(a.lam, a.r or len(a.lam))))}),
-    _op("lie", "rho", "lie.rho", [_R], lambda f, a: {"rho": lie.weight_to_json(f(a.r))}),
-    _op("lie", "dominantize", "lie.dominantize", [_req("--mu", _weight_arg)],
-        lambda f, a: _dominant(f(a.mu))),
+    ("lie", "orbit", [_LAMBDA, _opt("--r", int, 0)],
+     lambda a: {"orbit": _weights(sorted(lie.weyl_orbit(a.lam, a.r or len(a.lam))))}),
+    ("lie", "rho", [_R], lambda a: {"rho": lie.weight_to_json(lie.rho(a.r))}),
+    ("lie", "dominantize", [_req("--mu", _weight_arg)],
+     lambda a: _dominant(lie.dominantize(a.mu))),
 
-    _op("char", "weyl", "characters.weyl_character", [_LAMBDA, _opt("--r", int, 0)],
-        lambda f, a: _character(f(_rank_checked(a)))),
-    _op("char", "tensor", "characters.tensor_decompose", [_LAMBDA, _req("--mu", _weight_arg)],
-        lambda f, a: {"components": characters.decomposition_to_json(f(a.lam, a.mu))}),
-    _op("char", "invariant", "characters.invariant_dim",
-        [_req("--weights", _weights_arg, help="semicolon-separated highest weights"),
-         _opt("--group", default="SL", choices=("SL", "GL"))],
-        lambda f, a: {"dim": f(list(a.weights), group=a.group)}),
-    _op("char", "bwb", "characters.bwb_cohomology", [_LAMBDA], lambda f, a: _bwb(f(a.lam))),
+    ("char", "weyl", [_LAMBDA, _opt("--r", int, 0)],
+     lambda a: _character(characters.weyl_character(_rank_checked(a)))),
+    ("char", "tensor", [_LAMBDA, _req("--mu", _weight_arg)],
+     lambda a: {"components": characters.decomposition_to_json(
+         characters.tensor_decompose(a.lam, a.mu))}),
+    ("char", "invariant",
+     [_req("--weights", _weights_arg, help="semicolon-separated highest weights"),
+      _opt("--group", default="SL", choices=("SL", "GL"))],
+     lambda a: {"dim": characters.invariant_dim(list(a.weights), group=a.group)}),
+    ("char", "bwb", [_LAMBDA], lambda a: _bwb(characters.bwb_cohomology(a.lam))),
 
-    _op("puzzles", "count", "puzzles.count_puzzles",
-        [_R, _req("--I", _subset_arg, dest="iset"), _req("--J", _subset_arg, dest="jset"),
-         _req("--K", _subset_arg, dest="kset"), ("--list", _SWITCH), _opt("--limit", int)],
-        lambda f, a: _count(f(a.r, a.iset, a.jset, a.kset), a)),
-    _op("puzzles", "lr", "puzzles.lr_coefficient",
-        [_R, _req("--s", int), _req("--lam", _subset_arg), _req("--mu", _subset_arg),
-         _req("--nu", _subset_arg)],
-        lambda f, a: {"coefficient": f(a.r, a.s, a.lam, a.mu, a.nu)}),
-    _op("puzzles", "assoc", "puzzles.associativity_check",
-        [_R, _req("--s", int), _opt("--max-cases", int), _SEED],
-        lambda f, a: vars(f(a.r, a.s, seed=_resolve_seed(a), max_cases=a.max_cases))),
+    ("puzzles", "count",
+     [_R, _req("--I", _subset_arg, dest="iset"), _req("--J", _subset_arg, dest="jset"),
+      _req("--K", _subset_arg, dest="kset"), ("--list", _SWITCH), _opt("--limit", int)],
+     lambda a: _count(puzzles.count_puzzles(a.r, a.iset, a.jset, a.kset), a)),
+    ("puzzles", "lr",
+     [_R, _req("--s", int), _req("--lam", _subset_arg), _req("--mu", _subset_arg),
+      _req("--nu", _subset_arg)],
+     lambda a: {"coefficient": puzzles.lr_coefficient(a.r, a.s, a.lam, a.mu, a.nu)}),
+    ("puzzles", "assoc", [_R, _req("--s", int), _opt("--max-cases", int), _SEED],
+     lambda a: vars(puzzles.associativity_check(a.r, a.s, seed=_resolve_seed(a),
+                                                max_cases=a.max_cases))),
 
-    _op("horn", "generate", "horn.generate_horn_system",
-        [_R, ("--irredundant", _SWITCH),
-         _opt("--format", default="json", choices=("json", "table"))],
-        lambda f, a: _horn_system(f(a.r, "irredundant" if a.irredundant else "all-positive"),
-                                  a.format)),
-    _op("horn", "check", "horn.check_triple",
-        [_req("--a", _weight_arg), _req("--b", _weight_arg), _req("--c", _weight_arg)],
-        lambda f, a: _feasible(f(a.a, a.b, a.c))),
-    _op("horn", "sample", "horn.sample_hermitian_validate",
-        [_R, _opt("--trials", int, 1000), _TOL, _SEED],
-        lambda f, a: vars(f(a.r, trials=a.trials, seed=_resolve_seed(a), tol=a.tol))),
-    _op("horn", "polygon", "horn.polygon_nonempty", [_req("--lengths", _weight_arg)],
-        lambda f, a: {"nonempty": f(a.lengths)}),
-    _op("horn", "sl2", "horn.sl2_config_semistable",
-        [_req("--masses", _weight_arg), _opt("--total")],
-        lambda f, a: dict(zip(("semistable", "witness"),
-                              f(list(a.masses), expected_total=a.total)))),
+    ("horn", "generate",
+     [_R, ("--irredundant", _SWITCH), _opt("--format", default="json", choices=("json", "table"))],
+     lambda a: _horn_system(horn.generate_horn_system(
+         a.r, "irredundant" if a.irredundant else "all-positive"), a.format)),
+    ("horn", "check",
+     [_req("--a", _weight_arg), _req("--b", _weight_arg), _req("--c", _weight_arg)],
+     lambda a: _feasible(horn.check_triple(a.a, a.b, a.c))),
+    ("horn", "sample", [_R, _opt("--trials", int, 1000), _TOL, _SEED],
+     lambda a: vars(horn.sample_hermitian_validate(a.r, trials=a.trials, seed=_resolve_seed(a),
+                                                   tol=a.tol))),
+    ("horn", "polygon", [_req("--lengths", _weight_arg)],
+     lambda a: {"nonempty": horn.polygon_nonempty(a.lengths)}),
+    ("horn", "sl2", [_req("--masses", _weight_arg), _opt("--total")],
+     lambda a: dict(zip(("semistable", "witness"),
+                        horn.sl2_config_semistable(list(a.masses), expected_total=a.total)))),
 
-    _op("stability", "moment", "stability.moment_map", [*_POINT, _opt("--shift", _weight_arg)],
-        lambda f, a: {"moment": lie.weight_to_json(f(_point(a), shift=a.shift))}),
-    _op("stability", "polytope", "stability.orbit_moment_polytope", _POINT,
-        lambda f, a: f(_point(a)).to_json()),
-    _op("stability", "classify", "stability.classify_stability", _POINT,
-        lambda f, a: stability.verdict_to_json(f(_point(a)))),
-    _op("stability", "slope", "stability.hm_slope", [*_POINT, _LAMBDA],
-        lambda f, a: _slope(f(_point(a), a.lam))),
-    _op("stability", "destab", "stability.max_destabilizing", _POINT,
-        lambda f, a: _destab(f(_point(a)))),
-    _op("stability", "kn", "stability.kempf_ness", [*_POINT, _req("--xi", _weight_arg)],
-        lambda f, a: dict(zip(("value", "gradient"), f(_point(a), a.xi)))),
-    _op("stability", "flow", "stability.minimize_kempf_ness",
-        [*_POINT, _opt("--xi0", _weight_arg), _TOL, _opt("--max-iter", int, 100000)],
-        lambda f, a: vars(f(_point(a), xi0=a.xi0, tol=a.tol, max_iter=a.max_iter))),
-    _op("stability", "graded", "stability.associated_graded", [*_POINT, _LAMBDA],
-        lambda f, a: f(_point(a), a.lam).to_json()),
-    _op("stability", "jh", "stability.jordan_holder_cone", _POINT,
-        lambda f, a: {"generators": _weights(f(_point(a)))}),
-    _op("stability", "types", "stability.critical_types", [_req("--weights", _weights_arg)],
-        lambda f, a: {"types": _weights(sorted(f(list(a.weights))))}),
-    _op("stability", "product", "stability.product", [_IN],
-        lambda f, a: f(*_point_pair(a)).to_json()),
+    ("stability", "moment", [*_POINT, _opt("--shift", _weight_arg)],
+     lambda a: {"moment": lie.weight_to_json(stability.moment_map(_point(a), shift=a.shift))}),
+    ("stability", "polytope", _POINT,
+     lambda a: stability.orbit_moment_polytope(_point(a)).to_json()),
+    ("stability", "classify", _POINT,
+     lambda a: stability.verdict_to_json(stability.classify_stability(_point(a)))),
+    ("stability", "slope", [*_POINT, _LAMBDA],
+     lambda a: _slope(stability.hm_slope(_point(a), a.lam))),
+    ("stability", "destab", _POINT, lambda a: _destab(stability.max_destabilizing(_point(a)))),
+    ("stability", "kn", [*_POINT, _req("--xi", _weight_arg)],
+     lambda a: dict(zip(("value", "gradient"), stability.kempf_ness(_point(a), a.xi)))),
+    ("stability", "flow",
+     [*_POINT, _opt("--xi0", _weight_arg), _TOL, _opt("--max-iter", int, 100000)],
+     lambda a: vars(stability.minimize_kempf_ness(_point(a), xi0=a.xi0, tol=a.tol,
+                                                  max_iter=a.max_iter))),
+    ("stability", "graded", [*_POINT, _LAMBDA],
+     lambda a: stability.associated_graded(_point(a), a.lam).to_json()),
+    ("stability", "jh", _POINT,
+     lambda a: {"generators": _weights(stability.jordan_holder_cone(_point(a)))}),
+    ("stability", "types", [_req("--weights", _weights_arg)],
+     lambda a: {"types": _weights(sorted(stability.critical_types(list(a.weights))))}),
+    ("stability", "product", [_IN], lambda a: stability.product(*_point_pair(a)).to_json()),
 
     # hull: --points goes to `polytopes.hull`, --in to `Polytope.from_json`, which calls it
-    _op("polytope", "hull", "polytopes.hull", [_POINTS, _IN],
-        lambda f, a: _polytope(a).to_json()),
-    _op("polytope", "kostant", "polytopes.kostant_polytope", [_LAMBDA],
-        lambda f, a: f(a.lam).to_json()),
-    _op("polytope", "lattice", "polytopes.lattice_points", [_POINTS, _IN],
-        lambda f, a: _lattice(f(_polytope(a)))),
-    _op("polytope", "delzant", "polytopes.is_delzant", [_POINTS, _IN],
-        lambda f, a: _delzant(f(_polytope(a)))),
-    _op("polytope", "cut", "polytopes.symplectic_cut",
-        [_POINTS, _req("--normal", _weight_arg), _req("--level"), _IN],
-        lambda f, a: _cut(f(_polytope(a), a.normal, a.level))),
-    _op("polytope", "fan", "polytopes.normal_fan", [_POINTS, _IN],
-        lambda f, a: _fan(f(_polytope(a)))),
-    _op("polytope", "bg", "polytopes.brianchon_gram_check",
-        [_POINTS, _opt("--samples", int, 200), _SEED, _IN],
-        lambda f, a: vars(f(_polytope(a), samples=a.samples, seed=_resolve_seed(a)))),
+    ("polytope", "hull", [_POINTS, _IN], lambda a: _polytope(a).to_json()),
+    ("polytope", "kostant", [_LAMBDA], lambda a: polytopes.kostant_polytope(a.lam).to_json()),
+    ("polytope", "lattice", [_POINTS, _IN],
+     lambda a: _lattice(polytopes.lattice_points(_polytope(a)))),
+    ("polytope", "delzant", [_POINTS, _IN],
+     lambda a: _delzant(polytopes.is_delzant(_polytope(a)))),
+    ("polytope", "cut", [_POINTS, _req("--normal", _weight_arg), _req("--level"), _IN],
+     lambda a: _cut(polytopes.symplectic_cut(_polytope(a), a.normal, a.level))),
+    ("polytope", "fan", [_POINTS, _IN], lambda a: _fan(polytopes.normal_fan(_polytope(a)))),
+    ("polytope", "bg", [_POINTS, _opt("--samples", int, 200), _SEED, _IN],
+     lambda a: vars(polytopes.brianchon_gram_check(_polytope(a), samples=a.samples,
+                                                   seed=_resolve_seed(a)))),
 
-    _op("localize", "toric", "localization.vertex_sum",
-        [_opt("--polytope", help="JSON file with the polytope"), _POINTS,
-         _opt("--eval", _weight_arg), _opt("--box", _box_arg)],
-        lambda f, a: _toric(f(_polytope(a, "polytope")), a)),
-    _op("localize", "eval", "localization.evaluate", [_req("--point", _weight_arg), _IN],
-        lambda f, a: {"value": lie.fmt_rat(f(_series(a), a.point))}),
-    _op("localize", "expand", "localization.expand_in_box", [_req("--box", _box_arg), _IN],
-        lambda f, a: {"expansion": f(_series(a), a.box).to_json()}),
-    _op("localize", "p1", "localization.p1_kn_identity", [_req("--d", int)],
-        lambda f, a: _p1(f(a.d))),
-    _op("localize", "blowup", "localization.blowup_chi", [_req("--d", int), _req("--e", int)],
-        lambda f, a: _blowup(*f(a.d, a.e))),
-    _op("localize", "weyl", "localization.weyl_via_localization", [_LAMBDA],
-        lambda f, a: _weyl_series(*f(a.lam))),
+    ("localize", "toric",
+     [_opt("--polytope", help="JSON file with the polytope"), _POINTS,
+      _opt("--eval", _weight_arg), _opt("--box", _box_arg)],
+     lambda a: _toric(localization.vertex_sum(_polytope(a, "polytope")), a)),
+    ("localize", "eval", [_req("--point", _weight_arg), _IN],
+     lambda a: {"value": lie.fmt_rat(localization.evaluate(_series(a), a.point))}),
+    ("localize", "expand", [_req("--box", _box_arg), _IN],
+     lambda a: {"expansion": localization.expand_in_box(_series(a), a.box).to_json()}),
+    ("localize", "p1", [_req("--d", int)], lambda a: _p1(localization.p1_kn_identity(a.d))),
+    ("localize", "blowup", [_req("--d", int), _req("--e", int)],
+     lambda a: _blowup(*localization.blowup_chi(a.d, a.e))),
+    ("localize", "weyl", [_LAMBDA],
+     lambda a: _weyl_series(*localization.weyl_via_localization(a.lam))),
 
-    _op("examples", None, "examples.run_all", [], lambda f, a: _examples(*f())),
+    ("examples", None, [], _examples),
 )
-
-
-def _library(func: str):
-    """The library function "module.name", looked up in its module at call
-    time, so that whatever the module binds under that name then is called."""
-    module, _, name = func.partition(".")
-    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="gitkit", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
     ops = {}
-    for group, op, func, flags, run in COMMANDS:
+    for group, op, flags, run in COMMANDS:
         if group not in ops:
             sp = groups.add_parser(group, help=_GROUPS[group])
             if op is not None:
@@ -399,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp = ops[group].add_parser(op)
         for flag, kw in flags:
             sp.add_argument(flag, **kw)
-        sp.set_defaults(func=func, run=run, op=op)
+        sp.set_defaults(run=run, op=op)
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = args.run(_library(args.func), args)
+        out = args.run(args)
     except GitkitError as exc:
         err = {"code": exc.code, "message": exc.message, "context": exc.context}
     except (KeyError, TypeError, ValueError) as exc:

@@ -122,7 +122,12 @@ def check_triple(a, b, c) -> CheckResult:
     return CheckResult(True, None)
 
 
-def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[float]:
+# both Jacobi drivers stop once a doubling's off-diagonal norm is at most
+# JACOBI_TOL times its scale, and fail after JACOBI_SWEEPS sweeps
+JACOBI_TOL, JACOBI_SWEEPS = 1e-12, 100
+
+
+def jacobi_eigenvalues(h) -> list[float]:
     """Spectrum of a Hermitian matrix by cyclic Jacobi, descending.
 
     The complex matrix X + iY is embedded as the real symmetric doubling
@@ -133,10 +138,6 @@ def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[flo
     rotation formulas, columns before rows) and stop at the same sweep, so a
     matrix gets the same bits on either path.
     """
-    if not _is_int(max_sweeps) or max_sweeps < 0:
-        raise GitkitError("bad_input", "max_sweeps must be a non-negative integer",
-                          {"max_sweeps": repr(max_sweeps)})
-    _check_tol(tol)
     try:
         a = np.asarray(h)
         numeric = a.dtype.kind not in "SUV"        # numpy would parse strings
@@ -153,10 +154,10 @@ def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[flo
     if not np.allclose(a, a.conj().T, atol=1e-10):
         raise GitkitError("not_hermitian", "matrix is not Hermitian", {})
     doubled = _doubling(a[None])
-    limit = tol * _scales(doubled)[0]
+    limit = JACOBI_TOL * _scales(doubled)[0]
     s = doubled[0].tolist()
     n = len(s)
-    for _sweep in range(max_sweeps):
+    for _sweep in range(JACOBI_SWEEPS):
         if _off_norms(np.array(s).reshape(1, n, n))[0] <= limit:
             return sorted([s[i][i] for i in range(n)], reverse=True)[0::2]
         for p in range(n - 1):
@@ -182,7 +183,7 @@ def jacobi_eigenvalues(h, tol: float = 1e-12, max_sweeps: int = 100) -> list[flo
                     rp[j] = cth * x - sth * y
                     rq[j] = sth * x + cth * y
     raise GitkitError("jacobi_no_convergence",
-                      f"Jacobi iteration did not converge in {max_sweeps} sweeps", {"n": n})
+                      f"Jacobi iteration did not converge in {JACOBI_SWEEPS} sweeps", {"n": n})
 
 
 def _check_tol(tol) -> None:
@@ -229,15 +230,15 @@ def _jacobi_batch(hs) -> list:
     off-diagonal norm decide when it leaves the batch, a lane whose pivot is
     negligible keeps its values by selection (an identity rotation could
     turn -0.0 into +0.0), and no operation sums across entries in a new order.
-    It runs jacobi_eigenvalues' default tol (1e-12) and sweep cap (100).
+    It stops by the same rule as jacobi_eigenvalues.
     """
     s_mat = _doubling(hs)
     n = s_mat.shape[-1]
     scale = _scales(s_mat)
     live = np.arange(len(s_mat))
     out = [None] * len(s_mat)
-    for _sweep in range(100):
-        done = _off_norms(s_mat) <= 1e-12 * scale
+    for _sweep in range(JACOBI_SWEEPS):
+        done = _off_norms(s_mat) <= JACOBI_TOL * scale
         for k in np.flatnonzero(done):
             out[live[k]] = sorted(np.diag(s_mat[k]).tolist(), reverse=True)[0::2]
         if done.any():
@@ -271,7 +272,7 @@ def _jacobi_batch(hs) -> list:
                     s_mat[:, p, :], s_mat[:, q, :] = new_p, new_q
     if len(live):
         raise GitkitError("jacobi_no_convergence",
-                          "Jacobi iteration did not converge in 100 sweeps", {"n": n})
+                          f"Jacobi iteration did not converge in {JACOBI_SWEEPS} sweeps", {"n": n})
     return out
 
 

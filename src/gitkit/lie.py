@@ -26,12 +26,16 @@ class GitkitError(Exception):
 
 
 def rat(x) -> int | Fraction:
-    """Canonicalize a rational: Fraction with denominator 1 becomes int."""
+    """Canonicalize a rational: Fraction with denominator 1 becomes int.  A value
+    Fraction() cannot take (text, None, NaN, an infinity) is refused."""
     if isinstance(x, bool):
         raise GitkitError("bad_rational", "boolean is not a rational", {"value": repr(x)})
     if isinstance(x, int):
         return x
-    f = Fraction(x)
+    try:
+        f = Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise GitkitError("bad_rational", f"cannot parse a rational from {x!r}", {})
     return int(f) if f.denominator == 1 else f
 
 
@@ -44,7 +48,7 @@ def parse_rat(s) -> int | Fraction:
             # floats arrive from CLI flags like --level -1.0; they must be exact
             return rat(Fraction(s))
         return rat(s)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise GitkitError("bad_rational", f"cannot parse a rational from {s!r}", {})
 
 

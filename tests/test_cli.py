@@ -2,11 +2,15 @@
 exit codes, and determinism of repeated runs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gitkit import localization, polytopes
+import gitkit
+from gitkit import characters, horn, lie, localization, polytopes, puzzles, stability
 from gitkit.cli import COMMANDS, main
 from gitkit.localization import vertex_sum
 
@@ -40,6 +44,53 @@ def test_pinned_output(case, tmp_path, capsys, monkeypatch):
     assert out.replace(str(tmp_path), "{tmp}") == case["stdout"]
     if case["stderr"] is not None:
         assert err.replace(str(tmp_path), "{tmp}") == case["stderr"]
+
+
+def _pinned(argv):
+    return next(c for c in PINNED["cases"] if c["argv"] == argv)
+
+
+# a row reads its library function off the module when it runs, so a function
+# bound there after import (a tracer's wrapper, a test's patch) takes the call
+_LATE = [
+    (lie, "rho", ["lie", "rho", "--r", "3"]),
+    (characters, "weyl_character", ["char", "weyl", "--lambda", "2,1,0"]),
+    (puzzles, "count_puzzles",
+     ["puzzles", "count", "--r", "4", "--I", "2,4", "--J", "2,4", "--K", "2,3"]),
+    (horn, "check_triple", ["horn", "check", "--a", "3,1", "--b", "2,1", "--c", "4,3"]),
+    (stability, "classify_stability", ["stability", "classify", "--weights", "1,1;-1,0;0,-1"]),
+    (polytopes, "kostant_polytope", ["polytope", "kostant", "--lambda", "2,1,0"]),
+    (localization, "weyl_via_localization", ["localize", "weyl", "--lambda", "1,0"]),
+]
+
+
+@pytest.mark.parametrize("module, name, argv", _LATE, ids=[name for _, name, _ in _LATE])
+def test_cli_calls_bind_late(module, name, argv, capsys, monkeypatch):
+    f, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    assert run(argv, capsys)[:2] == (0, _pinned(argv)["stdout"])
+    assert len(calls) == 1
+
+
+def test_examples_module_loads_only_for_the_examples_command(tmp_path):
+    # a fresh process, so that no other test has imported gitkit.examples
+    env = dict(os.environ)
+    src = str(Path(gitkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    call = ("import sys; from gitkit.cli import main; "
+            "main(['char', 'weyl', '--lambda', '2,1,0']); "
+            "print('gitkit.examples' in sys.modules); "
+            "main(['examples'])")
+    res = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (_pinned(["char", "weyl", "--lambda", "2,1,0"])["stdout"] + "False\n"
+                          + _pinned(["examples"])["stdout"])
 
 
 def test_weyl_character_output(capsys):
@@ -459,13 +510,7 @@ def test_installed_entry_point(tmp_path):
     object and exits 0. The `[project.scripts]` target is checked in every
     run; pip's wrapper file is checked too wherever `gitkit` is on PATH."""
     import importlib
-    import os
     import shutil
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import gitkit
 
     argv = ["horn", "check", "--a", "3,1", "--b", "2,1", "--c", "4,3"]
 

@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,14 @@ from gitkit.lie import (
     wneg,
     wnorm_sq,
     wsub,
+)
+from gitkit.polytopes import hull, kostant_polytope, symplectic_cut
+from gitkit.stability import (
+    critical_types,
+    hm_slope,
+    moment_map,
+    nearest_point_of_hull,
+    proj_point,
 )
 
 
@@ -59,6 +68,38 @@ def test_parse_rat_rejects(bad):
     with pytest.raises(GitkitError) as e:
         parse_rat(bad)
     assert e.value.code == "bad_rational"
+
+
+_LINE = proj_point([(1, 0), (-1, 0)])
+_TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
+
+
+# every public entry that canonicalizes a weight through `lie.weight` or `rat`:
+# an entry Fraction() cannot take is a coded error, not a ValueError,
+# TypeError or OverflowError
+@pytest.mark.parametrize("call, bad", [
+    (lambda: kostant_polytope((1, "x")), "x"),
+    (lambda: kostant_polytope((None,)), None),
+    (lambda: kostant_polytope((1, nan)), nan),
+    (lambda: kostant_polytope((1, inf)), inf),
+    (lambda: hull([(1, "x")]), "x"),
+    (lambda: proj_point([(1, "x")]), "x"),
+    (lambda: nearest_point_of_hull([(1, "x")]), "x"),
+    (lambda: critical_types([(1, "x")]), "x"),
+    (lambda: hm_slope(_LINE, ("a", 0)), "a"),
+    (lambda: _TRIANGLE.contains(("a", 0)), "a"),
+    (lambda: symplectic_cut(_TRIANGLE, (None, 0), 0), None),
+    (lambda: moment_map(_LINE, shift=("z", 0)), "z"),
+    (lambda: parse_rat(inf), inf),
+    (lambda: parse_rat(-inf), -inf),
+], ids=["kostant-text", "kostant-none", "kostant-nan", "kostant-inf", "hull", "proj_point",
+        "nearest_point", "critical_types", "hm_slope", "contains", "symplectic_cut",
+        "moment_map", "parse_rat-inf", "parse_rat-minus-inf"])
+def test_entries_that_are_not_rationals_are_refused(call, bad):
+    with pytest.raises(GitkitError) as e:
+        call()
+    assert (e.value.code, e.value.message, e.value.context) == (
+        "bad_rational", f"cannot parse a rational from {bad!r}", {})
 
 
 def test_fmt_rat_roundtrip():

@@ -1107,23 +1107,35 @@ def test_frames_box_and_points_match_reference_on_kostant_orbits():
                 _assert_same_frames_box_and_points(hull(weyl_orbit(lam, r)))
 
 
-_SMALL_COORD = st.one_of(st.integers(-3, 3),
-                         st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+def _small_coord(rng):
+    return rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
 
 
 def test_frames_box_and_points_match_reference_on_drawn_hulls():
+    # 48 seeded hulls of rank 1-3 in three kinds, so that the floors below hold
+    # by construction and no draw can miss them:
+    # - 16 get a lex-largest point with first coordinate in Z + 1/2; that point
+    #   is always a vertex, and apart from the others, so the hull has an edge;
+    # - 24 get an integer point (a lattice point) and two distinct points (an edge);
+    # - 8 get nothing added to their one to three points.
+    rng = random.Random(25)
     seen = []   # per drawn hull: rational vertices, edges, lattice points
-
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.integers(1, 3).flatmap(
-        lambda r: st.lists(st.tuples(*[_SMALL_COORD] * r), min_size=1, max_size=8)))
-    def compare(pts):
+    for kind in ["top"] * 16 + ["integer"] * 24 + ["free"] * 8:
+        r = rng.randint(1, 3)
+        n = rng.randint(1, 3 if kind == "free" else 7)
+        pts = [tuple(_small_coord(rng) for _ in range(r)) for _ in range(n)]
+        if kind == "top":
+            first = floor(max(pts)[0]) + Fraction(3, 2)
+            pts.append((first,) + tuple(_small_coord(rng) for _ in range(r - 1)))
+        elif kind == "integer":
+            pts.append(tuple(rng.randint(-3, 3) for _ in range(r)))
+            while len(set(pts)) < 2:
+                pts.append(tuple(_small_coord(rng) for _ in range(r)))
+        rng.shuffle(pts)
         h = hull(pts)
         _assert_same_frames_box_and_points(h)
         seen.append((any(type(x) is not int for v in h.vertices for x in v),
                      bool(h.edges()), bool(lattice_points(h))))
-
-    compare()
     rational, edged, points = (sum(col) for col in zip(*seen))
     assert rational >= 15 and edged >= 24 and points >= 24, (rational, edged, points)
 
