@@ -26,13 +26,27 @@ from .lie import (
     Weight,
     WeylElement,
     dominantize,
+    entries,
+    integer,
     is_dominant,
-    is_int_list,
+    is_int,
+    rat,
     rho,
     wadd,
+    weight,
     wsub,
     weight_to_json,
 )
+
+
+def _exponent(w: tuple, message: str) -> tuple[int, ...]:
+    """An exponent vector read by lie.weight, as ints: an entry that is a bool
+    or not an integral rational (2.0 is one) is refused (not_integral)."""
+    if not any(isinstance(x, bool) for x in w):
+        key = weight(w)
+        if all(type(x) is int for x in key):
+            return key
+    raise GitkitError("not_integral", message, {"exponent": [str(x) for x in w]})
 
 
 def _monomial_at(w, pq) -> tuple[int, int]:
@@ -60,22 +74,21 @@ class LaurentPoly:
 
     def __init__(self, rank: int, terms: dict | None = None):
         """Every entry is checked, zero coefficients too, before zeros are dropped."""
-        self.rank = rank
+        self.rank = rank = integer(rank, "rank")
+        if not isinstance(terms, dict | None):
+            raise GitkitError("bad_input", "Laurent terms must be a dict from exponent "
+                              "tuples to coefficients", {"type": type(terms).__name__})
         clean = {}
         for w, c in (terms or {}).items():
-            if len(w) != rank:
+            if len(w := entries(w)) != rank:
                 raise GitkitError("rank_mismatch", "exponent length does not match rank",
                                   {"rank": rank, "exponent": list(w)})
-            key = tuple(int(x) for x in w)
-            if any(key[i] != w[i] for i in range(rank)):
-                raise GitkitError("not_integral", "Laurent exponents must be integers",
-                                  {"exponent": [str(x) for x in w]})
-            ci = int(c)
-            if ci != c:
+            key = _exponent(w, "Laurent exponents must be integers")
+            if isinstance(c, bool) or type(c := rat(c)) is not int:
                 raise GitkitError("not_integral", "Laurent coefficients must be integers",
                                   {"coefficient": str(c)})
-            if ci:
-                clean[key] = ci
+            if c:
+                clean[key] = c
         self.terms = clean
 
     @classmethod
@@ -172,8 +185,8 @@ class LaurentPoly:
     @staticmethod
     def from_json(arr, rank: int | None = None) -> "LaurentPoly":
         if not isinstance(arr, list) or not all(
-                isinstance(item, dict) and is_int_list(item.get("w"))
-                and type(item.get("c")) is int for item in arr):
+                isinstance(item, dict) and isinstance(item.get("w"), list)
+                and all(map(is_int, item["w"])) and is_int(item.get("c")) for item in arr):
             raise GitkitError("bad_input", "a Laurent polynomial must be a list of terms, "
                               "each an object with an integer list w and an integer c", {})
         terms = {}
@@ -208,6 +221,7 @@ def positive_roots(r: int) -> list[tuple[int, ...]]:
 
 def weyl_dim(lam: Weight) -> int:
     """Dimension by the product formula; exact."""
+    lam = _integral(lam, "highest weight must have integer entries")
     r = len(lam)
     num = Fraction(1)
     for i in range(r):
@@ -219,16 +233,25 @@ def weyl_dim(lam: Weight) -> int:
     return int(num)
 
 
-def _check_dominant_integral(lam: Weight):
-    if not all(type(x) is int for x in lam):
-        raise GitkitError("not_integral", "highest weight must have integer entries",
-                          {"weight": weight_to_json(lam)})
+def _integral(lam, message: str) -> Weight:
+    """lam as a tuple of ints (lie.is_int).  Another entry is refused: with
+    not_integral and `message` when it is a rational (a bool shows as its
+    int), by lie.rat when it is not."""
+    if all(map(is_int, lam := entries(lam))):
+        return weight(lam)
+    shown = [x if isinstance(x, bool) else rat(x) for x in lam]
+    raise GitkitError("not_integral", message, {"weight": weight_to_json(shown)})
+
+
+def _check_dominant_integral(lam) -> Weight:
+    lam = _integral(lam, "highest weight must have integer entries")
     if not is_dominant(lam):
         raise GitkitError("not_dominant", "weight entries must be weakly decreasing",
                           {"weight": weight_to_json(lam)})
     if len(lam) > 6:
         raise GitkitError("rank_too_large", "character expansion supported up to rank 6",
                           {"rank": len(lam)})
+    return lam
 
 
 def weyl_alternant(lam: Weight) -> list[tuple[Weight, int]]:
@@ -277,8 +300,7 @@ def weyl_character(lam: Weight) -> LaurentPoly:
     division by each factor (1 - t^(e_j - e_i)), i < j.  All coefficients of the
     result are verified nonnegative and the dimension matches the product formula.
     """
-    lam = tuple(lam)
-    _check_dominant_integral(lam)
+    lam = _check_dominant_integral(lam)
     return LaurentPoly._of(len(lam), _weyl_terms(lam))   # a fresh shell over the shared terms
 
 
@@ -304,11 +326,10 @@ def tensor_decompose(lam: Weight, mu: Weight) -> dict[Weight, int]:
 
     Brauer-Klimyk: each weight nu of V_mu contributes its multiplicity, with
     the Bott sign, to the piece that lam + nu straightens to."""
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = _check_dominant_integral(lam), _check_dominant_integral(mu)
     if len(lam) != len(mu):
         raise GitkitError("rank_mismatch", "tensor factors must share a rank",
                           {"left": len(lam), "right": len(mu)})
-    _check_dominant_integral(lam)
     acc: dict[Weight, int] = {}
     for nu, m in weyl_character(mu).terms.items():
         hit = bwb_cohomology(wadd(lam, nu))
@@ -332,7 +353,7 @@ def invariant_dim(lams: list, group: str = "SL") -> int:
     """
     if group not in ("SL", "GL"):
         raise GitkitError("bad_group", "group must be 'SL' or 'GL'", {"group": group})
-    lams = [tuple(l) for l in lams]
+    lams = [_check_dominant_integral(l) for l in entries(lams)]
     if not lams:
         raise GitkitError("bad_input", "need at least one factor", {})
     r = len(lams[0])
@@ -354,24 +375,20 @@ def su2_invariant_dim(labels, scale: int = 1) -> int:
     `labels` are the doubled spins (integers, so spin 3/2 is label 3); `scale`
     multiplies every label first.  Realized through SL(2) weights (n, 0).
     """
-    if not isinstance(scale, Rational):
+    if isinstance(scale, bool) or not isinstance(scale, Rational):
         raise GitkitError("bad_input", "scale must be an integer or a fraction",
                           {"scale": repr(scale)})
-    try:
-        labels = list(labels)
-    except TypeError:
-        raise GitkitError("bad_input", "labels must be iterable", {"labels": repr(labels)}) from None
     scaled = []
-    for l in labels:
+    for l in entries(labels):
         try:
-            v = Fraction(l) * scale
-        except (TypeError, ValueError, OverflowError):
+            v = rat(l) * scale
+        except GitkitError:
             raise GitkitError("bad_input", "labels must be rational numbers",
                               {"label": repr(l)}) from None
         if v.denominator != 1:
             raise GitkitError("not_integral", "scaled label is not an integer",
                               {"label": str(l), "scale": scale})
-        scaled.append(int(v))
+        scaled.append(v.numerator)
     ells = tuple(sorted(scaled))
     if any(l < 0 for l in ells):
         raise GitkitError("bad_input", "labels must be nonnegative", {"labels": list(ells)})
@@ -390,9 +407,7 @@ def bwb_cohomology(lam: Weight):
     otherwise (degree, dominant weight): degree is the number of inversions
     needed to sort lam + rho and the weight is the sorted result minus rho.
     """
-    lam = tuple(lam)
-    if not all(type(x) is int for x in lam):
-        raise GitkitError("not_integral", "integral weight required", {"weight": weight_to_json(lam)})
+    lam = _integral(lam, "integral weight required")
     r = len(lam)
     shift = rho(r)
     mu = wadd(lam, shift)

@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _weight_arg(s: str):
     try:
-        return tuple(lie.parse_rat(p) for p in s.split(","))
+        return tuple(lie.rat(p) for p in s.split(","))
     except GitkitError as exc:
         raise argparse.ArgumentTypeError(f"bad weight {s!r}: {exc}")
 

@@ -24,18 +24,18 @@ import functools
 import itertools
 import math
 import numbers
+from collections.abc import Hashable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .lie import GitkitError, fmt_rat, parse_rat
+from .lie import GitkitError, entries, fmt_rat, integer, is_int, rat, weight
 from .puzzles import count_puzzles_all_k
 
 
 def spectrum(values) -> tuple:
     """A weakly decreasing tuple of exact rationals."""
-    vals = tuple(parse_rat(v) for v in values)
+    vals = weight(values)
     if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
         raise GitkitError("not_sorted", "spectrum entries must be weakly decreasing",
                           {"values": [fmt_rat(v) for v in vals]})
@@ -65,16 +65,12 @@ def generate_horn_system(r: int, mode: str = "all-positive") -> HornSystem:
     beyond the trace identity).  'all-positive' keeps every triple with a
     positive count; 'irredundant' keeps those with count exactly 1.
     """
-    if not _is_int(r) or r < 2 or r > 6:
+    if not is_int(r) or r < 2 or r > 6:
         raise GitkitError("bad_rank", "inequality systems supported for 2 <= r <= 6", {"r": r})
     if mode not in ("all-positive", "irredundant"):
         raise GitkitError("bad_mode", "mode must be 'all-positive' or 'irredundant'",
                           {"mode": mode})
-    return _horn_system(int(r), mode)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return _horn_system(rat(r), mode)
 
 
 @functools.lru_cache(maxsize=16)
@@ -290,11 +286,9 @@ def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
     """Draw Gaussian Hermitian pairs, diagonalize A, B, A + B with the Jacobi
     routine in one lockstep batch, and check every inequality of the system
     within tolerance."""
-    for name, value in (("r", r), ("trials", trials), ("seed", seed)):
-        if not _is_int(value):
-            raise GitkitError("bad_input", f"{name} must be an integer",
-                              {"type": type(value).__name__})
-        if name != "r" and value < 0:
+    r, trials, seed = integer(r, "r"), integer(trials, "trials"), integer(seed, "seed")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if value < 0:
             raise GitkitError("bad_input", f"{name} must be non-negative", {name: value})
     _check_tol(tol)
     system = generate_horn_system(r, "all-positive")
@@ -333,7 +327,7 @@ def polygon_nonempty(lengths) -> bool:
     """Does a closed polygon with these (positive) side lengths exist?  True
     exactly when no side exceeds the sum of the others; degenerate flat
     polygons count as polygons."""
-    vals = [parse_rat(v) for v in lengths]
+    vals = weight(lengths)
     if len(vals) < 2:
         raise GitkitError("bad_input", "need at least two side lengths", {})
     if any(v <= 0 for v in vals):
@@ -351,21 +345,23 @@ def sl2_config_semistable(masses, expected_total=None):
     pool their mass.  Returns (semistable, offending label or None).
     """
     pooled: dict = {}
-    for item in masses:
+    for item in entries(masses):
         if isinstance(item, (tuple, list)) and len(item) == 2:
             label, mass = item
         else:
             label, mass = len(pooled), item
-        mass = parse_rat(mass)
+        mass = rat(mass)
         if mass <= 0:
             raise GitkitError("bad_input", "masses must be positive", {"label": str(label)})
+        if not isinstance(label, Hashable):
+            raise GitkitError("bad_input", "a label must be hashable", {"label": repr(label)})
         pooled[label] = pooled.get(label, 0) + mass
     if not pooled:
         raise GitkitError("bad_input", "empty configuration", {})
     total = sum(pooled.values())
-    if expected_total is not None and parse_rat(expected_total) != total:
+    if expected_total is not None and (expected_total := rat(expected_total)) != total:
         raise GitkitError("mass_mismatch", "masses do not sum to the stated total",
-                          {"total": fmt_rat(total), "expected": fmt_rat(parse_rat(expected_total))})
+                          {"total": fmt_rat(total), "expected": fmt_rat(expected_total)})
     for label, mass in pooled.items():
         if 2 * mass > total:
             return False, label

@@ -8,9 +8,11 @@ consistently, so weights can key dicts directly.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from numbers import Integral
 
 Weight = tuple
 
@@ -39,17 +41,27 @@ def rat(x) -> int | Fraction:
     return int(f) if f.denominator == 1 else f
 
 
-def parse_rat(s) -> int | Fraction:
-    """Parse 'p/q', 'p', or a number into an exact rational."""
-    try:
-        if isinstance(s, str):
-            return rat(Fraction(s.strip()))
-        if isinstance(s, float):
-            # floats arrive from CLI flags like --level -1.0; they must be exact
-            return rat(Fraction(s))
-        return rat(s)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        raise GitkitError("bad_rational", f"cannot parse a rational from {s!r}", {})
+def is_int(x) -> bool:
+    """The integer rule: a numbers.Integral that is not a bool.  So an integral
+    float (2.0) or Fraction(4, 2) is not an integer, while numpy's ints are."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def integer(x, what: str) -> int:
+    """x as an int, refused (bad_input) unless is_int(x)."""
+    if not is_int(x):
+        raise GitkitError("bad_input", f"{what} must be an integer", {what: repr(x)})
+    return int(x)
+
+
+def entries(x) -> tuple:
+    """The entries of a list, a tuple or any other iterable but text or a dict;
+    anything else is refused (bad_input)."""
+    if type(x) is tuple:
+        return x
+    if isinstance(x, (str, bytes, dict)) or not isinstance(x, Iterable):
+        raise GitkitError("bad_input", "expected a list of values", {"type": type(x).__name__})
+    return tuple(x)
 
 
 def fmt_rat(x) -> str:
@@ -58,22 +70,18 @@ def fmt_rat(x) -> str:
 
 
 def weight(coords) -> Weight:
-    """coords as a tuple of canonical exact rationals; a tuple of ints is one already."""
+    """coords as a tuple of canonical exact rationals (`rat`); a tuple of ints is
+    one already."""
     if type(coords) is tuple and all(type(c) is int for c in coords):
         return coords
-    return tuple(rat(c) for c in coords)
+    return tuple(map(rat, entries(coords)))
 
 
 def weight_from_json(arr) -> Weight:
     if not isinstance(arr, list):
         raise GitkitError("bad_input", "a weight must be a JSON list",
                           {"type": type(arr).__name__})
-    return tuple(parse_rat(c) for c in arr)
-
-
-def is_int_list(x) -> bool:
-    """A list of ints, as JSON integers parse; booleans and floats excluded."""
-    return isinstance(x, list) and all(type(v) is int for v in x)
+    return weight(arr)
 
 
 def weight_to_json(w: Weight) -> list:
@@ -156,6 +164,7 @@ def weyl_orbit(lam: Weight, r: int) -> set[Weight]:
     one at a time, each right of the equal entries already placed.  An orbit of
     more than ORBIT_POINTS_CAP points (r! / prod of multiplicity factorials) is
     refused (too_large) before any point is made."""
+    lam, r = weight(lam), integer(r, "r")
     if len(lam) != r:
         raise GitkitError("rank_mismatch", "weight length does not match rank",
                           {"rank": r, "weight": weight_to_json(lam)})
@@ -172,6 +181,7 @@ def weyl_orbit(lam: Weight, r: int) -> set[Weight]:
 
 def rho(r: int) -> Weight:
     """The fixed shift vector (r-1, r-2, ..., 0)."""
+    r = integer(r, "r")
     if r < 1:
         raise GitkitError("bad_rank", "rank must be at least 1", {"rank": r})
     return tuple(range(r - 1, -1, -1))
@@ -184,6 +194,7 @@ def is_dominant(lam: Weight) -> bool:
 def dominantize(mu: Weight):
     """Sort mu weakly decreasing; returns (w, dominant) with w.apply(mu) dominant,
     or None when two entries coincide (singular)."""
+    mu = weight(mu)
     r = len(mu)
     if len(set(mu)) != r:
         return None

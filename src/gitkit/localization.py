@@ -24,6 +24,8 @@ from operator import add, mul
 
 from .characters import (
     LaurentPoly,
+    _exponent,
+    _integral,
     _monomial_at,
     positive_roots,
     weyl_alternant,
@@ -31,13 +33,13 @@ from .characters import (
 )
 from .lie import (
     GitkitError,
+    entries,
     fmt_rat,
-    is_int_list,
+    integer,
+    is_int,
     is_integral,
-    parse_rat,
     wdot,
     weight,
-    weight_to_json,
 )
 from .polytopes import Polytope
 
@@ -49,14 +51,14 @@ class Term:
     dir: tuple              # rational direction with <b, dir> < 0 for all b
 
     def __post_init__(self):
+        if not isinstance(self.num, LaurentPoly):
+            raise GitkitError("bad_input", "a term's numerator must be a LaurentPoly",
+                              {"type": type(self.num).__name__})
         r = self.num.rank
-        den = tuple(tuple(int(x) for x in b) for b in self.den)
-        for b, key in zip(self.den, den):
-            if any(type(x) is bool or x != k for x, k in zip(b, key)):
-                raise GitkitError("not_integral", "denominator exponents must be integers",
-                                  {"exponent": [str(x) for x in b]})
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "dir", tuple(parse_rat(x) for x in self.dir))
+        object.__setattr__(self, "den", tuple(
+            _exponent(entries(b), "denominator exponents must be integers")
+            for b in entries(self.den)))
+        object.__setattr__(self, "dir", weight(self.dir))
         if len(self.dir) != r:
             raise GitkitError("rank_mismatch", "direction length does not match rank",
                               {"rank": r, "dir": len(self.dir)})
@@ -86,6 +88,8 @@ class ConeSeries:
     terms: tuple
 
     def __post_init__(self):
+        if not isinstance(self.terms, tuple) or not all(isinstance(t, Term) for t in self.terms):
+            raise GitkitError("bad_input", "a series must be a tuple of Terms", {})
         ranks = {t.num.rank for t in self.terms}
         if len(ranks) > 1:
             raise GitkitError("rank_mismatch", "series terms have different ranks",
@@ -116,14 +120,19 @@ class ConeSeries:
         terms = []
         for i, item in enumerate(arr):
             den, xi = item["den"], item["dir"]
-            if not (isinstance(den, list) and all(is_int_list(b) for b in den)
-                    and isinstance(xi, list)):
+            if not (isinstance(den, list) and isinstance(xi, list) and all(
+                    isinstance(b, list) and all(map(is_int, b)) for b in den)):
                 raise GitkitError("bad_input", "a term needs den, a list of integer exponent "
                                   "lists, and dir, a list of rationals", {"term": i})
             num = LaurentPoly.from_json(item["num"], rank=len(xi))
-            terms.append(Term(num, tuple(tuple(b) for b in den),
-                              tuple(parse_rat(x) for x in xi)))
+            terms.append(Term(num, den, xi))
         return ConeSeries(tuple(terms))
+
+
+def _series(*series) -> None:
+    if not all(isinstance(s, ConeSeries) for s in series):
+        raise GitkitError("bad_input", "a series must be a ConeSeries",
+                          {"types": [type(s).__name__ for s in series]})
 
 
 def evaluate(series: ConeSeries, point) -> Fraction:
@@ -133,7 +142,8 @@ def evaluate(series: ConeSeries, point) -> Fraction:
     Each coordinate is an integer pair (p, q), each monomial's value an
     integer pair (`_monomial_at`), and every term and the running sum are
     integer (numerator, denominator) pairs: one Fraction is made, at the end."""
-    pq = [(x.numerator, x.denominator) for x in map(parse_rat, point)]
+    _series(series)
+    pq = [(x.numerator, x.denominator) for x in weight(point)]
     num, den = 0, 1
     for t in series.terms:
         vn, vd = t.num._value_at(pq)
@@ -164,6 +174,7 @@ def rational_sum(series: ConeSeries) -> tuple[LaurentPoly, tuple]:
 
     Every factor is flipped to a lex-positive exponent first, so mirrored
     denominators cancel structurally."""
+    _series(series)
     r = series.rank
     flipped = []
     den_count: dict = {}
@@ -197,6 +208,7 @@ def rational_sum(series: ConeSeries) -> tuple[LaurentPoly, tuple]:
 
 def rational_eq(s1: ConeSeries, s2: ConeSeries) -> bool:
     """Equality as rational functions, exact."""
+    _series(s1, s2)
     diff = ConeSeries(s1.terms + s2.scale(-1).terms)
     num, _den = rational_sum(diff)
     return num.is_zero()
@@ -233,14 +245,15 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
 
     A box entry must be a (lo, hi) pair of integers with lo <= hi (bad_box),
     and a box of more than BOX_POINTS_CAP points is refused (too_large)."""
+    _series(series)
     r = series.rank
     if not isinstance(box, (tuple, list)):
         raise GitkitError("bad_box", "a box must be a list of (lo, hi) pairs", {})
     for entry in box:
-        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(map(is_int, entry))):
             raise GitkitError("bad_box", "each box entry must be a (lo, hi) pair of integers",
                               {"entry": repr(entry)})
+    box = [weight(entry) for entry in box]
     if len(box) != r:
         raise GitkitError("rank_mismatch", "box length does not match rank",
                           {"rank": r, "box": len(box)})
@@ -345,7 +358,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
 def p1_chi(d: int) -> ConeSeries:
     """Equivariant Euler characteristic of O(d) on the projective line, in the
     symmetric convention: fixed-point terms z^d/(1 - z^-2) + z^-d/(1 - z^2)."""
-    d = int(d)
+    d = integer(d, "d")
     return ConeSeries((
         Term(LaurentPoly.monomial((d,), 1), ((-2,),), (Fraction(1),)),
         Term(LaurentPoly.monomial((-d,), 1), ((2,),), (Fraction(-1),)),
@@ -367,7 +380,7 @@ def p1_kn_identity(d: int) -> P1Report:
     localization sum  z^d/(1-z^2) + z^{d-2}/(1-z^-2) - z^{d+2}/(1-z^2)
     - z^{-d-2}/(1-z^-2)  in every finite box, even though the first two terms
     alone form a comb that vanishes rationally.  Checked by exact expansion."""
-    d = int(d)
+    d = integer(d, "d")
     if d < 0 or d > 50:
         raise GitkitError("bad_input", "degree must be between 0 and 50", {"d": d})
     lhs_poly = LaurentPoly(1, {(d - 2 * k,): 1 for k in range(d + 1)})
@@ -406,7 +419,7 @@ def blowup_chi(d: int, e: int) -> tuple[ConeSeries, BlowupReport]:
     Positive coefficients are section weights, negative ones obstruction
     weights; for d >= e >= 0 the positive part fills the lattice trapezoid
     e <= x + y <= d in the first quadrant."""
-    d, e = int(d), int(e)
+    d, e = integer(d, "d"), integer(e, "e")
     if abs(d) > 200 or abs(e) > 200:
         raise GitkitError("bad_input", "d and e must be between -200 and 200",
                           {"d": d, "e": e})
@@ -434,10 +447,7 @@ def weyl_via_localization(lam) -> tuple[ConeSeries, LaurentPoly]:
 
     Returns the series and its box expansion over the weight hull, which the
     direct character construction must reproduce exactly."""
-    lam = tuple(lam)
-    if not all(type(x) is int for x in lam):
-        raise GitkitError("not_integral", "highest weight must have integer entries",
-                          {"weight": weight_to_json(lam)})
+    lam = _integral(lam, "highest weight must have integer entries")
     r = len(lam)
     if r > 4:
         raise GitkitError("rank_too_large", "localization characters capped at rank 4",

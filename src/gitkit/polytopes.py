@@ -31,8 +31,9 @@ from .lie import (
     Weight,
     fmt_rat,
     is_dominant,
+    entries,
+    integer,
     is_integral,
-    parse_rat,
     primitive_integer,
     rat,
     weight,
@@ -263,7 +264,7 @@ def _facet_rays(proj, d: int) -> list[tuple[tuple[int, ...], int]]:
 
 def _point_set(points) -> tuple:
     """The distinct points, sorted; none, or points of mixed lengths, are refused."""
-    pts = tuple(sorted({weight(p) for p in points}))
+    pts = tuple(sorted({weight(p) for p in entries(points)}))
     if not pts:
         raise GitkitError("empty_hull", "convex hull of no points", {})
     if any(len(p) != len(pts[0]) for p in pts):
@@ -426,7 +427,7 @@ def symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
     only a face (it needs equations), goes through `hull`.
     """
     normal = weight(normal)
-    level = parse_rat(level)
+    level = rat(level)
     r = p.rank
     if len(normal) != r:
         raise GitkitError("rank_mismatch", "weights have different lengths",
@@ -491,13 +492,13 @@ def brianchon_gram_check(p: Polytope, samples: int = 200, seed: int = 0) -> BGRe
     """
     import random
 
-    if type(samples) is not int or samples < 1:
+    if (samples := integer(samples, "samples")) < 1:
         raise GitkitError("bad_input", "samples must be a positive integer",
                           {"samples": repr(samples)})
     if p.dim != p.rank:
         raise GitkitError("not_full_dim", "tangent-cone identity needs a full-dimensional polytope",
                           {"dim": p.dim, "rank": p.rank})
-    rng = random.Random(seed)
+    rng = random.Random(integer(seed, "seed"))
     box = p.bounding_box()
     cones = [(sum(1 << i for i in active), (-1) ** fdim) for fdim, _verts, active in p.faces()]
     failures = []

@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .lie import GitkitError
+from .lie import GitkitError, entries, integer, is_int
 
 UP_PIECES = {(0, 0, 0), (1, 1, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)}   # (NW, NE, S)
 DOWN_PIECES = {(0, 0, 0), (1, 1, 1), (2, 0, 1), (1, 2, 0), (0, 1, 2)}  # (N, SW, SE)
@@ -36,19 +36,21 @@ _DOWN_SE = {(n, sw): se for n, sw, se in DOWN_PIECES}
 
 
 def _validate_subset(r: int, s, name: str) -> tuple[int, ...]:
-    t = tuple(sorted(set(int(x) for x in s)))
-    if len(t) != len(tuple(s)):
+    s = entries(s)
+    t = tuple(sorted({integer(x, name) for x in s}))
+    if len(t) != len(s):
         raise GitkitError("bad_subset", f"{name} has repeated elements", {name: list(s)})
     if any(x < 1 or x > r for x in t):
         raise GitkitError("bad_subset", f"{name} must lie in 1..{r}", {name: list(t)})
     return t
 
 
-def _checked(r: int, *sets) -> list:
-    """The size and the boundary subsets I, J (and K) of a size-r puzzle, validated."""
+def _checked(r, *sets) -> tuple[int, list]:
+    """The size r and the boundary subsets I, J (and K) of a size-r puzzle, validated."""
+    r = integer(r, "r")
     if r < 1 or r > 8:
         raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
-    return [_validate_subset(r, t, name) for t, name in zip(sets, "IJK")]
+    return r, [_validate_subset(r, t, name) for t, name in zip(sets, "IJK")]
 
 
 def _boundary_labels(r: int, i_set, j_set):
@@ -93,14 +95,14 @@ def _final_states(r: int, i_set, j_set) -> dict:
 
 def count_puzzles(r: int, i_set, j_set, k_set) -> int:
     """Number of legal fillings with the given boundary indicator sets."""
-    i_set, j_set, k_set = _checked(r, i_set, j_set, k_set)
+    r, (i_set, j_set, k_set) = _checked(r, i_set, j_set, k_set)
     target = tuple(1 if k in k_set else 0 for k in range(1, r + 1))
     return _final_states(r, i_set, j_set).get(target, 0)
 
 
 def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
     """One DP pass with a free south boundary: counts for every K at once."""
-    i_set, j_set = _checked(r, i_set, j_set)
+    r, (i_set, j_set) = _checked(r, i_set, j_set)
     out = {}
     for svec, cnt in _final_states(r, i_set, j_set).items():
         if any(x == 2 for x in svec):
@@ -111,8 +113,11 @@ def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
 
 
 def enumerate_puzzles(r: int, i_set, j_set, k_set, limit: int | None = None) -> list[dict]:
-    """Explicit fillings as edge-label dictionaries (keys 'U:i:j:NW' etc.)."""
-    i_set, j_set, k_set = _checked(r, i_set, j_set, k_set)
+    """Explicit fillings as edge-label dictionaries (keys 'U:i:j:NW' etc.), at
+    most `limit` of them (a non-negative integer) when it is given."""
+    r, (i_set, j_set, k_set) = _checked(r, i_set, j_set, k_set)
+    if limit is not None and (limit := integer(limit, "limit")) < 0:
+        raise GitkitError("bad_input", "limit must be non-negative", {"limit": limit})
     nw, ne = _boundary_labels(r, i_set, j_set)
     target = tuple(1 if k in k_set else 0 for k in range(1, r + 1))
 
@@ -157,9 +162,9 @@ def check_filling(r: int, i_set, j_set, k_set, edges: dict):
     Returns (ok, reason).  This walks the provided labels directly and shares
     no state with the search.
     """
-    i_set = _validate_subset(r, i_set, "I")
-    j_set = _validate_subset(r, j_set, "J")
-    k_set = _validate_subset(r, k_set, "K")
+    r, (i_set, j_set, k_set) = _checked(r, i_set, j_set, k_set)
+    if not (isinstance(edges, dict) and all(map(is_int, edges.values()))):
+        raise GitkitError("bad_input", "edges must be a dict of integer edge labels", {})
 
     class _Missing(Exception):
         pass
@@ -207,7 +212,7 @@ def _check_edges(r, i_set, j_set, k_set, get):
 
 def partition_to_subset(r: int, s: int, lam) -> tuple[int, ...]:
     """Cardinality-s subset of 1..r encoding a partition in the s x (r-s) box."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(integer(x, "partition") for x in entries(lam))
     if len(lam) > s or any(lam[a] < lam[a + 1] for a in range(len(lam) - 1)):
         raise GitkitError("bad_partition", "partition must be weakly decreasing of length <= s",
                           {"partition": list(lam), "s": s})
@@ -229,11 +234,9 @@ def lr_coefficient(r: int, s: int, lam, mu, nu) -> int:
 
     All three partitions must fit an s x (r-s) box.
     """
+    r, s = integer(r, "r"), integer(s, "s")
     if s < 0 or s > r:
         raise GitkitError("bad_input", "need 0 <= s <= r", {"r": r, "s": s})
-    if s == 0:
-        ok = all(not tuple(p) or max(p, default=0) == 0 for p in (lam, mu, nu))
-        return 1 if ok else 0
     i_set, j_set, k_set = (partition_to_subset(r, s, p) for p in (lam, mu, nu))
     return count_puzzles(r, i_set, j_set, k_set)
 
@@ -256,10 +259,11 @@ def associativity_check(r: int, s: int, seed: int = 0, max_cases: int | None = N
     Quadruples are numbered in `itertools.product` order; above max_cases,
     `random.Random(seed)` samples max_cases of the numbers.  A check of more
     than ASSOC_CASES_CAP quadruples is refused (too_large)."""
-    _checked(r)
+    r, _ = _checked(r)
+    s, seed = integer(s, "s"), integer(seed, "seed")
     if not 0 <= s <= r:
         raise GitkitError("bad_input", "need 0 <= s <= r", {"r": r, "s": s})
-    if max_cases is not None and max_cases < 1:
+    if max_cases is not None and (max_cases := integer(max_cases, "max_cases")) < 1:
         raise GitkitError("bad_input", "max_cases must be at least 1", {"max_cases": max_cases})
     subsets = list(itertools.combinations(range(1, r + 1), s))
     m = len(subsets)

@@ -25,8 +25,9 @@ import numpy
 from .lie import (
     GitkitError,
     Weight,
+    entries,
     fmt_rat,
-    parse_rat,
+    integer,
     rat,
     wadd,
     wdot,
@@ -62,14 +63,12 @@ class ProjPoint:
                 or not isinstance(obj.get("masses", []), list)):
             raise GitkitError("bad_input", "a point must be an object with a list of "
                               "weights and an optional list of masses", {})
-        ws = [weight_from_json(w) for w in obj["weights"]]
-        cs = [parse_rat(c) for c in obj.get("masses", [1] * len(ws))]
-        return proj_point(ws, cs)
+        return proj_point([weight_from_json(w) for w in obj["weights"]], obj.get("masses"))
 
 
 def proj_point(weights, masses=None) -> ProjPoint:
     """Build a projective point summary; equal weights pool their mass."""
-    ws = [weight(w) for w in weights]
+    ws = [weight(w) for w in entries(weights)]
     if not ws:
         raise GitkitError("bad_input", "a projective point needs at least one weight", {})
     r = len(ws[0])
@@ -77,7 +76,7 @@ def proj_point(weights, masses=None) -> ProjPoint:
         raise GitkitError("rank_mismatch", "weights have mixed lengths", {})
     if masses is None:
         masses = [1] * len(ws)
-    cs = [parse_rat(c) for c in masses]
+    cs = weight(masses)
     if len(cs) != len(ws):
         raise GitkitError("bad_input", "one mass per weight required",
                           {"weights": len(ws), "masses": len(cs)})
@@ -345,7 +344,8 @@ def _float_data(x: ProjPoint):
 
 
 def _float_direction(xi, r: int) -> tuple:
-    if len(xi := tuple(_float(v, "direction") for v in xi)) != r:
+    """xi, read as rationals by lie.weight, as floats."""
+    if len(xi := tuple(_float(v, "direction") for v in weight(xi))) != r:
         raise GitkitError("rank_mismatch", "direction length does not match rank",
                           {"rank": r, "xi": len(xi)})
     return xi
@@ -476,7 +476,7 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
             or not math.isfinite(tol) or tol <= 0):
         raise GitkitError("bad_input", "tol must be a finite positive number",
                           {"tol": repr(tol)})
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+    if (max_iter := integer(max_iter, "max_iter")) < 1:
         raise GitkitError("bad_input", "max_iter must be a positive integer",
                           {"max_iter": repr(max_iter)})
     r = x.rank

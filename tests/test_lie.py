@@ -16,7 +16,6 @@ from gitkit.lie import (
     fmt_rat,
     is_dominant,
     is_integral,
-    parse_rat,
     primitive_integer,
     rat,
     rho,
@@ -30,10 +29,12 @@ from gitkit.lie import (
     wnorm_sq,
     wsub,
 )
+from gitkit.characters import weyl_character
 from gitkit.polytopes import hull, kostant_polytope, symplectic_cut
 from gitkit.stability import (
     critical_types,
     hm_slope,
+    kempf_ness,
     moment_map,
     nearest_point_of_hull,
     proj_point,
@@ -60,13 +61,13 @@ def test_rat_rejects_bool():
     (" 2/4 ", Fraction(1, 2)),
 ])
 def test_parse_rat(text, value):
-    assert parse_rat(text) == value
+    assert rat(text) == value
 
 
 @pytest.mark.parametrize("bad", ["", "a", "1/0", "1.5.2", None])
 def test_parse_rat_rejects(bad):
     with pytest.raises(GitkitError) as e:
-        parse_rat(bad)
+        rat(bad)
     assert e.value.code == "bad_rational"
 
 
@@ -90,11 +91,16 @@ _TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
     (lambda: _TRIANGLE.contains(("a", 0)), "a"),
     (lambda: symplectic_cut(_TRIANGLE, (None, 0), 0), None),
     (lambda: moment_map(_LINE, shift=("z", 0)), "z"),
-    (lambda: parse_rat(inf), inf),
-    (lambda: parse_rat(-inf), -inf),
+    (lambda: rat(inf), inf),
+    (lambda: rat(-inf), -inf),
+    (lambda: weyl_character((1, "x")), "x"),
+    (lambda: kempf_ness(_LINE, ("x", 0)), "x"),
+    (lambda: dominantize((1, "x")), "x"),
+    (lambda: weyl_orbit((1, "x"), 2), "x"),
 ], ids=["kostant-text", "kostant-none", "kostant-nan", "kostant-inf", "hull", "proj_point",
         "nearest_point", "critical_types", "hm_slope", "contains", "symplectic_cut",
-        "moment_map", "parse_rat-inf", "parse_rat-minus-inf"])
+        "moment_map", "parse_rat-inf", "parse_rat-minus-inf", "weyl_character", "kempf_ness",
+        "dominantize", "weyl_orbit"])
 def test_entries_that_are_not_rationals_are_refused(call, bad):
     with pytest.raises(GitkitError) as e:
         call()
@@ -104,7 +110,7 @@ def test_entries_that_are_not_rationals_are_refused(call, bad):
 
 def test_fmt_rat_roundtrip():
     for v in (0, 7, -3, Fraction(5, 4), Fraction(-1, 6)):
-        assert parse_rat(fmt_rat(v)) == v
+        assert rat(fmt_rat(v)) == v
 
 
 def test_weight_json_roundtrip():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gitkit import localization
 from gitkit.characters import LaurentPoly, positive_roots, weyl_alternant, weyl_character
-from gitkit.lie import GitkitError, fmt_rat, parse_rat, wadd, wdot, weyl_orbit
+from gitkit.lie import GitkitError, fmt_rat, rat, wadd, wdot, weyl_orbit
 from gitkit.localization import (
     ConeSeries,
     Term,
@@ -883,7 +883,7 @@ def _ref_laurent_evaluate(self, point) -> Fraction:
 def _ref_evaluate(series: ConeSeries, point) -> Fraction:
     """Exact value at a rational point; hitting a denominator zero raises and
     asks for a different sample point."""
-    pt = [Fraction(parse_rat(x)) for x in point]
+    pt = [Fraction(rat(x)) for x in point]
     total = Fraction(0)
     for t in series.terms:
         val = _ref_laurent_evaluate(t.num, pt)
@@ -954,7 +954,7 @@ def test_evaluate_matches_reference():
         got = _evaluated(evaluate, series, point)
         assert got == _evaluated(_ref_evaluate, series, point), case
         for t in series.terms:
-            pt = tuple(map(parse_rat, point))
+            pt = tuple(map(rat, point))
             assert _evaluated(t.num.evaluate, pt) == _evaluated(
                 _ref_laurent_evaluate, t.num, pt), (t.num, pt)
         seen.append(got[:2] if isinstance(got, tuple) else "value")

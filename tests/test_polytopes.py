@@ -15,7 +15,6 @@ from gitkit.lie import (
     GitkitError,
     Weight,
     is_dominant,
-    parse_rat,
     primitive_integer,
     rat,
     wdot,
@@ -1161,7 +1160,7 @@ def _ref_symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
     built from surviving vertices plus edge crossings.
     """
     normal = weight(normal)
-    level = parse_rat(level)
+    level = rat(level)
     vals = {v: wdot(normal, v) for v in p.vertices}
     if min(vals.values()) >= level:
         return CutResult("noop", p)
