@@ -30,6 +30,7 @@ from .lie import (
     integer,
     is_dominant,
     is_int,
+    ordered,
     rat,
     rho,
     wadd,
@@ -148,8 +149,7 @@ class LaurentPoly:
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a tuple of nonzero rationals (zero allowed only
         when no negative exponent touches that coordinate)."""
-        return Fraction(*self._value_at([(x.numerator, x.denominator)
-                                         for x in map(Fraction, point)]))
+        return Fraction(*self._value_at([(x.numerator, x.denominator) for x in weight(point)]))
 
     def _value_at(self, pq) -> tuple[int, int]:
         """The value at the point of coordinates p/q, given as integer pairs
@@ -183,7 +183,7 @@ class LaurentPoly:
         return [{"w": list(w), "c": c} for w, c in sorted(self.terms.items())]
 
     @staticmethod
-    def from_json(arr, rank: int | None = None) -> "LaurentPoly":
+    def from_json(arr, rank: int) -> "LaurentPoly":
         if not isinstance(arr, list) or not all(
                 isinstance(item, dict) and isinstance(item.get("w"), list)
                 and all(map(is_int, item["w"])) and is_int(item.get("c")) for item in arr):
@@ -193,10 +193,6 @@ class LaurentPoly:
         for item in arr:
             w = tuple(item["w"])
             terms[w] = terms.get(w, 0) + item["c"]
-        if rank is None:
-            if not terms:
-                raise GitkitError("bad_input", "rank required for an empty polynomial", {})
-            rank = len(next(iter(terms)))
         return LaurentPoly(rank, terms)
 
     def __repr__(self):
@@ -237,7 +233,7 @@ def _integral(lam, message: str) -> Weight:
     """lam as a tuple of ints (lie.is_int).  Another entry is refused: with
     not_integral and `message` when it is a rational (a bool shows as its
     int), by lie.rat when it is not."""
-    if all(map(is_int, lam := entries(lam))):
+    if all(map(is_int, lam := ordered(lam))):
         return weight(lam)
     shown = [x if isinstance(x, bool) else rat(x) for x in lam]
     raise GitkitError("not_integral", message, {"weight": weight_to_json(shown)})

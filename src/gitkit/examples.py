@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import characters, horn, localization, polytopes, puzzles, stability
-from .lie import GitkitError, weight_to_json
+from .lie import GitkitError
 
 
 def _expect(ok: bool, *got) -> None:
@@ -176,25 +176,9 @@ def _case_segment_series():
     return "segment [0,2] expands to 1 + t + t^2"
 
 
-CASES = [
-    ("su2-string", _case_su2_string),
-    ("standard-times-dual", _case_standard_times_dual),
-    ("triangle-sides", _case_triangle_sides),
-    ("puzzle-247", _case_puzzle_247),
-    ("smallest-eigenvalue", _case_smallest_eigenvalue),
-    ("cstar-plane", _case_cstar_plane),
-    ("kirwan-types", _case_kirwan_types),
-    ("kirwan-center", _case_kirwan_center),
-    ("kostant-segment", _case_kostant_segment),
-    ("corner-cut", _case_corner_cut),
-    ("plane-fan", _case_plane_fan),
-    ("plane-sections", _case_plane_sections),
-    ("p1-pairing", _case_p1_pairing),
-    ("blowup-sections", _case_blowup_sections),
-    ("line-bundle-cohomology", _case_line_bundle_cohomology),
-    ("macdonald-support", _case_macdonald_support),
-    ("segment-series", _case_segment_series),
-]
+# every _case_* function, in the order of definition, named by its suffix
+CASES = [(name[6:].replace("_", "-"), fn) for name, fn in list(globals().items())
+         if name.startswith("_case_")]
 
 
 def run_all():

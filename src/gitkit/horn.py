@@ -266,10 +266,8 @@ def _jacobi_batch(hs) -> list:
                     if turning < lanes:
                         new_p, new_q = np.where(turn, new_p, rp), np.where(turn, new_q, rq)
                     s_mat[:, p, :], s_mat[:, q, :] = new_p, new_q
-    if len(live):
-        raise GitkitError("jacobi_no_convergence",
-                          f"Jacobi iteration did not converge in {JACOBI_SWEEPS} sweeps", {"n": n})
-    return out
+    raise GitkitError("jacobi_no_convergence",
+                      f"Jacobi iteration did not converge in {JACOBI_SWEEPS} sweeps", {"n": n})
 
 
 @dataclass(frozen=True)

@@ -64,17 +64,26 @@ def entries(x) -> tuple:
     return tuple(x)
 
 
+def ordered(x) -> tuple:
+    """The entries of an ordered list (`entries`); a set, whose order is
+    arbitrary, is refused (bad_input)."""
+    if isinstance(x, (set, frozenset)):
+        raise GitkitError("bad_input", "a vector must be an ordered list, not a set",
+                          {"type": type(x).__name__})
+    return entries(x)
+
+
 def fmt_rat(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def weight(coords) -> Weight:
-    """coords as a tuple of canonical exact rationals (`rat`); a tuple of ints is
-    one already."""
+    """coords, an ordered list, as a tuple of canonical exact rationals (`rat`);
+    a tuple of ints is one already."""
     if type(coords) is tuple and all(type(c) is int for c in coords):
         return coords
-    return tuple(map(rat, entries(coords)))
+    return tuple(map(rat, ordered(coords)))
 
 
 def weight_from_json(arr) -> Weight:
@@ -120,13 +129,20 @@ def is_integral(a: Weight) -> bool:
     return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in a)
 
 
+def integer_frame(rows) -> tuple[int, list[list[int]]]:
+    """(s, the rows times s) as lists of ints, for rows of exact rationals and
+    s the lcm of all their entries' denominators."""
+    # lists, not generators: unpacking a generator on the nearest-point path
+    # fragmented the small-object heap (about 1 MB more peak RSS)
+    s = lcm(*[x.denominator for row in rows for x in row])
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in rows]
+
+
 def primitive_integer(a: Weight) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector (same ray);
     a vector of ints is divided by its gcd with no Fraction made."""
     if not all(type(x) is int for x in a):
-        fr = [Fraction(x) for x in a]
-        den = lcm(*(f.denominator for f in fr))
-        a = [int(f * den) for f in fr]
+        a = integer_frame([a])[1][0]
     g = gcd(*a)
     if not g:
         raise GitkitError("zero_vector", "primitive direction of the zero vector", {})

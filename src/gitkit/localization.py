@@ -36,6 +36,7 @@ from .lie import (
     entries,
     fmt_rat,
     integer,
+    integer_frame,
     is_int,
     is_integral,
     wdot,
@@ -162,13 +163,6 @@ def evaluate(series: ConeSeries, point) -> Fraction:
     return Fraction(num, den)
 
 
-def _lex_positive(b: tuple) -> bool:
-    for x in b:
-        if x != 0:
-            return x > 0
-    return False
-
-
 def rational_sum(series: ConeSeries) -> tuple[LaurentPoly, tuple]:
     """Common-denominator normal form (numerator, sorted denominator exponents).
 
@@ -182,7 +176,7 @@ def rational_sum(series: ConeSeries) -> tuple[LaurentPoly, tuple]:
         num = t.num
         count: dict = {}
         for b in t.den:
-            if _lex_positive(b):
+            if next(x for x in b if x) > 0:     # b is lex-positive
                 bb = b
             else:
                 bb = tuple(-x for x in b)
@@ -269,8 +263,7 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
         for t in run:
             for w, c in t.num.terms.items():
                 cur[w] = cur.get(w, 0) + c
-        scale = math.lcm(*(Fraction(x).denominator for x in direction))
-        xi = tuple(int(x * scale) for x in direction)
+        xi = integer_frame([direction])[1][0]
         minval = sum(min(x * lo, x * hi) for x, (lo, hi) in zip(xi, box))
         # stages[j]: the (i, s, m) with s * v[i] >= m required before factor j
         stages = [[(i, s, s * side) for i, (lo, hi) in enumerate(box)

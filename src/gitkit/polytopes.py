@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from operator import mul, sub
 
 from .lie import (
@@ -33,6 +33,7 @@ from .lie import (
     is_dominant,
     entries,
     integer,
+    integer_frame,
     is_integral,
     primitive_integer,
     rat,
@@ -284,8 +285,7 @@ def hull(points) -> Polytope:
     pts = _point_set(points)
     r = len(pts[0])
 
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    ipts = [[x.numerator * (scale // x.denominator) for x in p] for p in pts]
+    scale, ipts = integer_frame(pts)
     basis, pivots, _ = _bareiss([[a - b for a, b in zip(q, ipts[0])] for q in ipts[1:]])
     d = len(pivots)
 
@@ -343,8 +343,7 @@ def kostant_polytope(lam: Weight) -> Polytope:
     if len(verts) == 1:
         eqs = sorted((tuple(int(i == j) for j in range(r)), x) for i, x in enumerate(lam))
         return Polytope(verts, (), tuple(eqs), 0)
-    scale = lcm(*(x.denominator for x in lam))
-    ilam = [x.numerator * (scale // x.denominator) for x in lam]
+    scale, (ilam,) = integer_frame([lam])
     total, top, facets = sum(ilam), 0, []
     for k in range(1, r):
         top += ilam[k - 1]
@@ -432,13 +431,9 @@ def symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
     if len(normal) != r:
         raise GitkitError("rank_mismatch", "weights have different lengths",
                           {"lengths": [len(normal), r]})
-    # points s * v and normal m * normal: gap = s * m * (<normal, v> - level)
-    s = lcm(*(x.denominator for v in p.vertices for x in v))
-    m = lcm(level.denominator, *(x.denominator for x in normal))
-    nn = [x.numerator * (m // x.denominator) for x in normal]
-    off = level.numerator * (m // level.denominator)
-    ipts = p.vertices if s == 1 else [[x.numerator * (s // x.denominator) for x in v]
-                                      for v in p.vertices]
+    # vertices times s, (normal, level) times m: gap = s * m * (<normal, v> - level)
+    s, ipts = integer_frame(p.vertices)
+    *nn, off = integer_frame([normal + (level,)])[1][0]
     gaps = [sum(map(mul, nn, q)) - off * s for q in ipts]
     if min(gaps) >= 0:
         return CutResult("noop", p)

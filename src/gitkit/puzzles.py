@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .lie import GitkitError, entries, integer, is_int
+from .lie import GitkitError, entries, integer, is_int, ordered
 
 UP_PIECES = {(0, 0, 0), (1, 1, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)}   # (NW, NE, S)
 DOWN_PIECES = {(0, 0, 0), (1, 1, 1), (2, 0, 1), (1, 2, 0), (0, 1, 2)}  # (N, SW, SE)
@@ -80,8 +80,16 @@ def _row_fillings(i: int, nw_label: int, ne_target: int, s_prev: tuple):
             stack.append((j + 1, se, svec + (s,), ups + (piece,)))
 
 
-def _final_states(r: int, i_set, j_set) -> dict:
-    """Number of fillings for each S-edge vector of the bottom row."""
+def count_puzzles(r: int, i_set, j_set, k_set) -> int:
+    """Number of legal fillings with the given boundary indicator sets."""
+    r, (i_set, j_set, k_set) = _checked(r, i_set, j_set, k_set)
+    return count_puzzles_all_k(r, i_set, j_set).get(k_set, 0)
+
+
+def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
+    """One DP pass with a free south boundary: counts for every K at once.  The
+    states of row i are the fillings of rows 1..i counted by S-edge vector."""
+    r, (i_set, j_set) = _checked(r, i_set, j_set)
     nw, ne = _boundary_labels(r, i_set, j_set)
     states = {(): 1}
     for i in range(1, r + 1):
@@ -90,21 +98,8 @@ def _final_states(r: int, i_set, j_set) -> dict:
             for svec, _ in _row_fillings(i, nw[i - 1], ne[i - 1], s_prev):
                 nxt[svec] = nxt.get(svec, 0) + cnt
         states = nxt
-    return states
-
-
-def count_puzzles(r: int, i_set, j_set, k_set) -> int:
-    """Number of legal fillings with the given boundary indicator sets."""
-    r, (i_set, j_set, k_set) = _checked(r, i_set, j_set, k_set)
-    target = tuple(1 if k in k_set else 0 for k in range(1, r + 1))
-    return _final_states(r, i_set, j_set).get(target, 0)
-
-
-def count_puzzles_all_k(r: int, i_set, j_set) -> dict[tuple[int, ...], int]:
-    """One DP pass with a free south boundary: counts for every K at once."""
-    r, (i_set, j_set) = _checked(r, i_set, j_set)
     out = {}
-    for svec, cnt in _final_states(r, i_set, j_set).items():
+    for svec, cnt in states.items():
         if any(x == 2 for x in svec):
             continue  # a 2 may not reach the boundary
         k = tuple(pos for pos, x in enumerate(svec, start=1) if x == 1)
@@ -212,7 +207,7 @@ def _check_edges(r, i_set, j_set, k_set, get):
 
 def partition_to_subset(r: int, s: int, lam) -> tuple[int, ...]:
     """Cardinality-s subset of 1..r encoding a partition in the s x (r-s) box."""
-    lam = tuple(integer(x, "partition") for x in entries(lam))
+    lam = tuple(integer(x, "partition") for x in ordered(lam))
     if len(lam) > s or any(lam[a] < lam[a + 1] for a in range(len(lam) - 1)):
         raise GitkitError("bad_partition", "partition must be weakly decreasing of length <= s",
                           {"partition": list(lam), "s": s})

@@ -28,6 +28,7 @@ from .lie import (
     entries,
     fmt_rat,
     integer,
+    integer_frame,
     rat,
     wadd,
     wdot,
@@ -163,10 +164,7 @@ def _project_origin_affine(points):
     m = len(points) - 1
     if m == 0:
         return q0, (Fraction(1),)
-    # a list, not a generator: unpacking a generator on this hot path
-    # fragmented the small-object heap (about 1 MB more peak RSS)
-    scale = math.lcm(*[x.denominator for q in points for x in q])
-    iq = [[x.numerator * (scale // x.denominator) for x in q] for q in points]
+    scale, iq = integer_frame(points)
     vecs = [[a - b for a, b in zip(q, iq[0])] for q in iq[1:]]
     # solve gram . a = rhs; singular gram means dependent points
     red, pivots, _ = _bareiss([[sum(x * y for x, y in zip(u, v)) for v in vecs]
@@ -240,21 +238,27 @@ def max_destabilizing(x: ProjPoint):
     return Unstable(lam_star=wneg(p), slope_sq=ns)
 
 
-def classify_stability(x: ProjPoint):
-    """Exact verdict from the position of the origin in the weight hull; the
-    facets through the origin, if any, cut out the Jordan-Holder face."""
+def _origin_face(x: ProjPoint):
+    """The hull of x's weights and its facets through the origin, or None when
+    the origin lies outside the hull."""
     h = hull(x.weights)
     zero = (0,) * x.rank
     if not h.contains(zero):
+        return None
+    return h, [h.facets[i] for i in h.active_facets(zero)]
+
+
+def classify_stability(x: ProjPoint):
+    """Exact verdict from the position of the origin in the weight hull; the
+    facets through the origin, if any, cut out the Jordan-Holder face."""
+    if (face := _origin_face(x)) is None:
         return max_destabilizing(x)
-    active = h.active_facets(zero)
+    h, active = face
     if not active:
         if h.dim == x.rank:
             return Stable()
         return Polystable(stabilizer_dim=x.rank - h.dim)
-    verts = tuple(sorted(
-        v for v in h.vertices
-        if all(wdot(h.facets[i][0], v) == h.facets[i][1] for i in active)))
+    verts = tuple(sorted(v for v in h.vertices if all(wdot(n, v) == off for n, off in active)))
     return SemistableNotPolystable(jh_face=verts)
 
 
@@ -302,11 +306,9 @@ def jordan_holder_cone(x: ProjPoint) -> tuple:
     """Directions whose graded limit is polystable: the inward normals of the
     hull facets through the origin.  Empty tuple when already polystable;
     unstable points (origin outside the hull) have no such cone."""
-    h = hull(x.weights)
-    zero = (0,) * x.rank
-    if not h.contains(zero):
+    if (face := _origin_face(x)) is None:
         raise GitkitError("unstable", "unstable points have no polystable degeneration", {})
-    return tuple(sorted(wneg(h.facets[i][0]) for i in h.active_facets(zero)))
+    return tuple(sorted(wneg(n) for n, _ in face[1]))
 
 
 def critical_types(weights) -> set:
@@ -403,12 +405,14 @@ def _certified_nearest(ws, masses):
     live = [j for j, mj in enumerate(masses) if mj > 1e-6 * mtop]
     aw = numpy.array(ws, dtype=float)
     scale2 = max(1.0, float(numpy.max(numpy.sum(aw * aw, axis=1))))
-    for _ in range(len(live)):
+    # the coefficients sum to 1, so the largest is never pruned, and a single
+    # weight has coefficient 1: the loop ends with a face
+    while True:
         base = aw[live[0]]
-        span = aw[live[1:]] - base if len(live) > 1 else numpy.zeros((0, aw.shape[1]))
         if len(live) == 1:
-            p, coeffs = base, numpy.array([1.0])
+            p, coeffs = base, [1.0]
         else:
+            span = aw[live[1:]] - base
             b, *_ = numpy.linalg.lstsq(span.T, -base, rcond=None)
             p = base + span.T @ b
             coeffs = numpy.concatenate(([1.0 - b.sum()], b))
@@ -416,10 +420,6 @@ def _certified_nearest(ws, masses):
         if not neg:
             break
         live = [j for j in live if j not in neg]
-        if not live:
-            return None
-    else:
-        return None
     nsq = float(p @ p)
     if nsq < 1e-12 * scale2:
         return None

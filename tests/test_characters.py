@@ -66,6 +66,10 @@ def test_poly_rank_mismatch():
         LaurentPoly.monomial((1, 0)) + LaurentPoly.monomial((1,))
 
 
+def test_zero_poly_repr():
+    assert repr(LaurentPoly.zero(2)) == "LaurentPoly(0)"
+
+
 def test_poly_ring_ops():
     x = LaurentPoly.monomial((1,))
     xinv = LaurentPoly.monomial((-1,))
@@ -177,6 +181,12 @@ def test_weyl_character_rejects_bad_input():
         weyl_character((Fraction(1, 2), 0))
 
 
+def test_weyl_character_refuses_rank_above_six():
+    with pytest.raises(GitkitError) as exc:
+        weyl_character((6, 5, 4, 3, 2, 1, 0))
+    assert exc.value.code == "rank_too_large"
+
+
 def test_weyl_character_dim_oracle_random():
     """Division route must reproduce the closed-form dimension count."""
     rng = random.Random(11)
@@ -263,6 +273,12 @@ def test_su2_invariant_dim_rejects_bad_input(labels, scale):
 
 
 # ----------------------------------------------------------- sheaf cohomology
+
+def test_su2_invariant_dim_refuses_negative_labels():
+    with pytest.raises(GitkitError) as exc:
+        su2_invariant_dim([-1, 1])
+    assert exc.value.code == "bad_input"
+
 
 def test_bwb_degrees():
     assert bwb_cohomology((2, 0)) == (0, (2, 0))

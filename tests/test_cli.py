@@ -93,6 +93,18 @@ def test_examples_module_loads_only_for_the_examples_command(tmp_path):
                           + _pinned(["examples"])["stdout"])
 
 
+def test_examples_exit_one_when_a_case_fails(capsys, monkeypatch):
+    monkeypatch.setattr(horn, "polygon_nonempty", lambda lengths: True)
+    code, out, err = run(["examples"], capsys)
+    assert code == 1
+    *rows, total = out.splitlines()
+    status = {row.split()[0]: row.split()[1] for row in rows}
+    assert status.pop("triangle-sides") == "FAIL" and set(status.values()) == {"PASS"}
+    assert total.endswith("FAILURES PRESENT")
+    assert json.loads(err.splitlines()[-1]) == {
+        "code": "examples_failed", "context": {}, "message": "some worked examples failed"}
+
+
 def test_weyl_character_output(capsys):
     code, out, err = run(["char", "weyl", "--lambda", "2,1,0"], capsys)
     assert code == 0 and err == ""

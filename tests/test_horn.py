@@ -417,6 +417,23 @@ def test_jacobi_sweep_limit(monkeypatch):
     assert jacobi_eigenvalues([[2.0, 0.0], [0.0, 1.0]]) == [2.0, 1.0]
 
 
+def test_batch_sweep_limit_reaches_the_validator(monkeypatch):
+    monkeypatch.setattr(horn, "JACOBI_SWEEPS", 1)
+    with pytest.raises(GitkitError) as exc:
+        sample_hermitian_validate(3, trials=2, seed=0)
+    assert exc.value.code == "jacobi_no_convergence"
+
+
+def test_validator_counts_wrong_spectra(monkeypatch):
+    # every spectrum one too high breaks the trace identity and each inequality
+    real = horn._jacobi_batch
+    monkeypatch.setattr(horn, "_jacobi_batch", lambda hs: [[x + 1.0 for x in s] for s in real(hs)])
+    report = sample_hermitian_validate(2, trials=5, seed=3)
+    assert report.violations == 5
+    assert report.max_slack_error > 1e-8
+    assert report.max_trace_error >= 2.0 - 1e-9
+
+
 def test_sample_rejects_negative_trials():
     with pytest.raises(GitkitError) as exc:
         sample_hermitian_validate(2, trials=-5)

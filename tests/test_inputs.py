@@ -28,14 +28,17 @@ from gitkit import (
     associativity_check,
     blowup_chi,
     count_puzzles,
+    dominantize,
     enumerate_puzzles,
     hull,
+    kostant_polytope,
     lr_coefficient,
     p1_chi,
     proj_point,
     rational_eq,
     rho,
     vertex_sum,
+    weyl_character,
     weyl_via_localization,
 )
 from gitkit.characters import su2_invariant_dim
@@ -43,6 +46,8 @@ from gitkit.cli import COMMANDS, main
 from gitkit.lie import GitkitError
 
 NAN, INF = float("nan"), float("inf")
+EVAL_POLY = LaurentPoly(2, {(1, 0): 1, (0, -1): 2})
+SET_REFUSED = ("bad_input", "a vector must be an ordered list, not a set", {"type": "set"})
 
 
 # ------------------------------------------------------------ regression
@@ -72,9 +77,24 @@ NAN, INF = float("nan"), float("inf")
      "bad_input", "scale must be an integer or a fraction", {"scale": "True"}),
     (lambda: LaurentPoly(1, {(True,): 1}),
      "not_integral", "Laurent exponents must be integers", {"exponent": ["True"]}),
+    (lambda: LaurentPoly(1, {(1,): 1}).evaluate(("x",)),
+     "bad_rational", "cannot parse a rational from 'x'", {}),
+    (lambda: EVAL_POLY.evaluate(["x", 1]), "bad_rational", "cannot parse a rational from 'x'", {}),
+    (lambda: EVAL_POLY.evaluate([NAN, 1]), "bad_rational", "cannot parse a rational from nan", {}),
+    (lambda: EVAL_POLY.evaluate(5), "bad_input", "expected a list of values", {"type": "int"}),
+    (lambda: EVAL_POLY.evaluate([True, 1]),
+     "bad_rational", "boolean is not a rational", {"value": "True"}),
+    (lambda: kostant_polytope({1, 2}), *SET_REFUSED),
+    (lambda: dominantize({3, 1}), *SET_REFUSED),
+    (lambda: weyl_character({2, 0}), *SET_REFUSED),
+    (lambda: proj_point([(1, 0)], {1}), *SET_REFUSED),
+    (lambda: lr_coefficient(4, 2, {1}, (1,), (2,)), *SET_REFUSED),
 ], ids=["puzzle-subset-text", "puzzle-size-float", "puzzle-size-bool", "p1-text",
         "p1-float", "blowup-float", "rho-float", "assoc-float", "rational-eq-int",
-        "lr-float-part", "enumerate-negative-limit", "su2-bool-scale", "laurent-bool"])
+        "lr-float-part", "enumerate-negative-limit", "su2-bool-scale", "laurent-bool",
+        "laurent-evaluate-text", "laurent-evaluate-text-entry", "laurent-evaluate-nan",
+        "laurent-evaluate-int", "laurent-evaluate-bool", "kostant-set", "dominantize-set",
+        "weyl-character-set", "proj-point-set-masses", "lr-set-partition"])
 def test_inputs_that_leaked_or_misread_are_refused(call, code, message, context):
     with pytest.raises(GitkitError) as exc:
         call()

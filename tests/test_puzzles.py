@@ -84,6 +84,40 @@ def test_check_filling_rejects_missing_edge():
     assert not ok
 
 
+# Edits of the legal filling of (4, {2,4}, {2,4}, {2,3}), each reported by
+# its own check.  A mismatch edit puts a legal piece in place of another, so
+# every piece stays legal and only the gluing fails.
+def _with_piece(edges, kind, i, j, pick):
+    slots = ("NW", "NE", "S") if kind == "U" else ("N", "SW", "SE")
+    old = tuple(edges[f"{kind}:{i}:{j}:{slot}"] for slot in slots)
+    new = pick(old)
+    return {**edges, **{f"{kind}:{i}:{j}:{slot}": x for slot, x in zip(slots, new)}}, new
+
+
+@pytest.mark.parametrize("kind, i, j, pick, reason", [
+    ("D", 2, 1, lambda old: (2, 2, 2), "illegal down piece (2, 2, 2) at (2,1)"),
+    ("U", 2, 1, lambda old: min(p for p in UP_PIECES if p[1] != old[1]),
+     "NE/SW mismatch at (2,1)"),
+    ("U", 2, 2, lambda old: min(p for p in UP_PIECES if p[0] != old[0]),
+     "SE/NW mismatch at (2,1)"),
+    ("U", 1, 1, lambda old: min(p for p in UP_PIECES if p[2] != old[2]),
+     "S/N mismatch between rows 1 and 2 at column 1"),
+], ids=["illegal-down", "ne-sw", "se-nw", "s-n"])
+def test_check_filling_names_each_failed_check(kind, i, j, pick, reason):
+    legal = enumerate_puzzles(4, (2, 4), (2, 4), (2, 3))[0]
+    edges, new = _with_piece(legal, kind, i, j, pick)
+    if "mismatch" in reason:
+        assert new in UP_PIECES
+    assert check_filling(4, (2, 4), (2, 4), (2, 3), edges) == (False, reason)
+
+
+def test_a_two_on_the_south_side_is_not_a_puzzle():
+    # the one piece with NW 1 and NE 0 has S 2, which may not reach the boundary
+    assert count_puzzles_all_k(1, (1,), ()) == {}
+    assert count_puzzles(1, (1,), (), ()) == 0
+    assert enumerate_puzzles(1, (1,), (), ()) == []
+
+
 def test_counts_match_characters_rank_up_to_4():
     bad = []
     for r in range(1, 5):

@@ -607,6 +607,12 @@ def _certify_nearest(ws, p, ns):
     raise AssertionError(f"{p} is not a positive projection onto its level")
 
 
+def test_certified_nearest_refuses_a_face_through_the_origin():
+    # a polystable pair: the face the masses pick holds the origin, so no
+    # destabilizing direction is certified
+    assert _certified_nearest([(1.0, 0.0), (-1.0, 0.0)], [0.5, 0.5]) is None
+
+
 def test_nearest_point_matches_least_projection():
     rng = random.Random(17)
     draws = list(_weight_sets(rng, 64))
