@@ -859,7 +859,7 @@ def test_built_terms_are_not_shared_between_calls():
 def _ref_laurent_evaluate(self, point) -> Fraction:
     """Exact evaluation at a tuple of nonzero rationals (zero allowed only
     when no negative exponent touches that coordinate)."""
-    pt = [Fraction(x) for x in point]
+    pt = [Fraction(rat(x)) for x in point]
     if len(pt) != self.rank:
         raise GitkitError("rank_mismatch", "evaluation point has wrong length",
                           {"rank": self.rank, "point": [str(x) for x in pt]})
@@ -974,6 +974,7 @@ def test_evaluate_matches_reference():
     ({(-1, 1): 2}, (0, 0)),        # the zero with a negative exponent comes first: a pole
     ({(0, -2): 1, (3, 0): -4}, (0, "1/2")),
     ({(2, 3): 5, (-2, -3): 7, (0, 0): -1}, ("-2/3", "5/7")),
+    ({(1,): 1}, ("x",)),
     ({(1,): 1}, (1, 2)),
     ({}, (0, 0)),
 ])
