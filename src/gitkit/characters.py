@@ -76,6 +76,8 @@ class LaurentPoly:
     def __init__(self, rank: int, terms: dict | None = None):
         """Every entry is checked, zero coefficients too, before zeros are dropped."""
         self.rank = rank = integer(rank, "rank")
+        if rank < 0:
+            raise GitkitError("bad_input", "rank must be non-negative", {"rank": rank})
         if not isinstance(terms, dict | None):
             raise GitkitError("bad_input", "Laurent terms must be a dict from exponent "
                               "tuples to coefficients", {"type": type(terms).__name__})

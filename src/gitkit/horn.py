@@ -85,7 +85,6 @@ def _horn_system(r: int, mode: str) -> HornSystem:
                     n = counts.get(k_set, 0)
                     if n >= 1 and (mode == "all-positive" or n == 1):
                         triples.append((i_set, j_set, k_set, n))
-    triples.sort(key=lambda t: (len(t[0]), t[0], t[1], t[2]))
     return HornSystem(r, mode, tuple(triples))
 
 

@@ -54,6 +54,13 @@ def integer(x, what: str) -> int:
     return int(x)
 
 
+def record(cls, noun: str, *values) -> None:
+    """Refuse (bad_input) unless every value is a cls."""
+    if not all(isinstance(v, cls) for v in values):
+        raise GitkitError("bad_input", f"{noun} must be a {cls.__name__}",
+                          {"types": [type(v).__name__ for v in values]})
+
+
 def entries(x) -> tuple:
     """The entries of a list, a tuple or any other iterable but text or a dict;
     anything else is refused (bad_input)."""

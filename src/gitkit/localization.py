@@ -39,6 +39,7 @@ from .lie import (
     integer_frame,
     is_int,
     is_integral,
+    record,
     wdot,
     weight,
 )
@@ -130,12 +131,6 @@ class ConeSeries:
         return ConeSeries(tuple(terms))
 
 
-def _series(*series) -> None:
-    if not all(isinstance(s, ConeSeries) for s in series):
-        raise GitkitError("bad_input", "a series must be a ConeSeries",
-                          {"types": [type(s).__name__ for s in series]})
-
-
 def evaluate(series: ConeSeries, point) -> Fraction:
     """Exact value at a rational point; hitting a denominator zero raises and
     asks for a different sample point.
@@ -143,7 +138,7 @@ def evaluate(series: ConeSeries, point) -> Fraction:
     Each coordinate is an integer pair (p, q), each monomial's value an
     integer pair (`_monomial_at`), and every term and the running sum are
     integer (numerator, denominator) pairs: one Fraction is made, at the end."""
-    _series(series)
+    record(ConeSeries, "a series", series)
     pq = [(x.numerator, x.denominator) for x in weight(point)]
     num, den = 0, 1
     for t in series.terms:
@@ -168,7 +163,7 @@ def rational_sum(series: ConeSeries) -> tuple[LaurentPoly, tuple]:
 
     Every factor is flipped to a lex-positive exponent first, so mirrored
     denominators cancel structurally."""
-    _series(series)
+    record(ConeSeries, "a series", series)
     r = series.rank
     flipped = []
     den_count: dict = {}
@@ -202,7 +197,7 @@ def rational_sum(series: ConeSeries) -> tuple[LaurentPoly, tuple]:
 
 def rational_eq(s1: ConeSeries, s2: ConeSeries) -> bool:
     """Equality as rational functions, exact."""
-    _series(s1, s2)
+    record(ConeSeries, "a series", s1, s2)
     diff = ConeSeries(s1.terms + s2.scale(-1).terms)
     num, _den = rational_sum(diff)
     return num.is_zero()
@@ -239,7 +234,7 @@ def expand_in_box(series: ConeSeries, box) -> LaurentPoly:
 
     A box entry must be a (lo, hi) pair of integers with lo <= hi (bad_box),
     and a box of more than BOX_POINTS_CAP points is refused (too_large)."""
-    _series(series)
+    record(ConeSeries, "a series", series)
     r = series.rank
     if not isinstance(box, (tuple, list)):
         raise GitkitError("bad_box", "a box must be a list of (lo, hi) pairs", {})
@@ -312,6 +307,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
     edge directions; factors pairing positively with the chosen direction are
     flipped, so every term expands in the same chamber and the box expansion
     of the sum is exactly the lattice-point indicator."""
+    record(Polytope, "a polytope", p)
     r = p.rank
     for v in p.vertices:
         if not is_integral(v):
@@ -324,7 +320,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
         v = p.vertices[0]
         xi = tuple(Fraction(1) for _ in range(r))
         return ConeSeries((Term(LaurentPoly.monomial(tuple(int(x) for x in v), 1), (), xi),))
-    dirs = p.edge_frames()
+    dirs = p._frames
     for v, es in dirs.items():
         if len(es) != d:
             raise GitkitError("not_smooth", "vertex does not have dim-many edges",

@@ -37,6 +37,7 @@ from .lie import (
     is_integral,
     primitive_integer,
     rat,
+    record,
     weight,
     weight_from_json,
     weight_to_json,
@@ -363,6 +364,7 @@ def kostant_polytope(lam: Weight) -> Polytope:
 def lattice_points(p: Polytope) -> list[Weight]:
     """All integer points of the polytope, in lex order, by scanning the
     bounding box with plain dot products: its points need no parsing."""
+    record(Polytope, "a polytope", p)
     box = p.bounding_box()
     ranges = []
     for lo, hi in box:
@@ -389,6 +391,7 @@ def is_delzant(p: Polytope) -> DelzantReport:
 
     The first failing vertex in lex order is reported.
     """
+    record(Polytope, "a polytope", p)
     r = p.rank
     if p.dim != r:
         raise GitkitError("not_full_dim", "Delzant test needs a full-dimensional polytope",
@@ -427,6 +430,7 @@ def symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
     """
     normal = weight(normal)
     level = rat(level)
+    record(Polytope, "a polytope", p)
     r = p.rank
     if len(normal) != r:
         raise GitkitError("rank_mismatch", "weights have different lengths",
@@ -457,7 +461,8 @@ def symplectic_cut(p: Polytope, normal: Weight, level) -> CutResult:
 
 
 def normal_fan(p: Polytope) -> list[dict]:
-    """Outward-normal cone at every face of a full-dimensional polytope."""
+    """Outward-normal cone at every face of a full-dimensional polytope, in `faces` order."""
+    record(Polytope, "a polytope", p)
     if p.dim != p.rank:
         raise GitkitError("not_full_dim", "normal fan needs a full-dimensional polytope",
                           {"dim": p.dim, "rank": p.rank})
@@ -465,7 +470,7 @@ def normal_fan(p: Polytope) -> list[dict]:
     for fdim, verts, active in p.faces():
         gens = sorted(tuple(-x for x in p.facets[i][0]) for i in active)
         out.append({"face_dim": fdim, "face_vertices": verts, "generators": gens})
-    return sorted(out, key=lambda c: (c["face_dim"], c["face_vertices"]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -490,6 +495,7 @@ def brianchon_gram_check(p: Polytope, samples: int = 200, seed: int = 0) -> BGRe
     if (samples := integer(samples, "samples")) < 1:
         raise GitkitError("bad_input", "samples must be a positive integer",
                           {"samples": repr(samples)})
+    record(Polytope, "a polytope", p)
     if p.dim != p.rank:
         raise GitkitError("not_full_dim", "tangent-cone identity needs a full-dimensional polytope",
                           {"dim": p.dim, "rank": p.rank})

@@ -160,47 +160,38 @@ def check_filling(r: int, i_set, j_set, k_set, edges: dict):
     r, (i_set, j_set, k_set) = _checked(r, i_set, j_set, k_set)
     if not (isinstance(edges, dict) and all(map(is_int, edges.values()))):
         raise GitkitError("bad_input", "edges must be a dict of integer edge labels", {})
-
-    class _Missing(Exception):
-        pass
-
-    def get(key):
-        if key not in edges:
-            raise _Missing(key)
-        return edges[key]
-
-    try:
-        return _check_edges(r, i_set, j_set, k_set, get)
-    except _Missing as e:
+    try:   # a plain copy, so that a dict subclass (a defaultdict) cannot fill a missing edge
+        return _check_edges(r, i_set, j_set, k_set, dict(edges))
+    except KeyError as e:
         return False, f"missing edge {e.args[0]}"
 
 
-def _check_edges(r, i_set, j_set, k_set, get):
+def _check_edges(r, i_set, j_set, k_set, edges):
     for i in range(1, r + 1):
         for j in range(1, i + 1):
-            tri = (get(f"U:{i}:{j}:NW"), get(f"U:{i}:{j}:NE"), get(f"U:{i}:{j}:S"))
+            tri = (edges[f"U:{i}:{j}:NW"], edges[f"U:{i}:{j}:NE"], edges[f"U:{i}:{j}:S"])
             if tri not in UP_PIECES:
                 return False, f"illegal up piece {tri} at ({i},{j})"
         for j in range(1, i):
-            tri = (get(f"D:{i}:{j}:N"), get(f"D:{i}:{j}:SW"), get(f"D:{i}:{j}:SE"))
+            tri = (edges[f"D:{i}:{j}:N"], edges[f"D:{i}:{j}:SW"], edges[f"D:{i}:{j}:SE"])
             if tri not in DOWN_PIECES:
                 return False, f"illegal down piece {tri} at ({i},{j})"
     for i in range(1, r + 1):
         for j in range(1, i):
-            if get(f"U:{i}:{j}:NE") != get(f"D:{i}:{j}:SW"):
+            if edges[f"U:{i}:{j}:NE"] != edges[f"D:{i}:{j}:SW"]:
                 return False, f"NE/SW mismatch at ({i},{j})"
-            if get(f"D:{i}:{j}:SE") != get(f"U:{i}:{j + 1}:NW"):
+            if edges[f"D:{i}:{j}:SE"] != edges[f"U:{i}:{j + 1}:NW"]:
                 return False, f"SE/NW mismatch at ({i},{j})"
     for i in range(1, r):
         for j in range(1, i + 1):
-            if get(f"U:{i}:{j}:S") != get(f"D:{i + 1}:{j}:N"):
+            if edges[f"U:{i}:{j}:S"] != edges[f"D:{i + 1}:{j}:N"]:
                 return False, f"S/N mismatch between rows {i} and {i + 1} at column {j}"
     for k in range(1, r + 1):
-        if get(f"U:{r + 1 - k}:1:NW") != (1 if k in i_set else 0):
+        if edges[f"U:{r + 1 - k}:1:NW"] != (1 if k in i_set else 0):
             return False, f"NW boundary mismatch at position {k}"
-        if get(f"U:{k}:{k}:NE") != (1 if k in j_set else 0):
+        if edges[f"U:{k}:{k}:NE"] != (1 if k in j_set else 0):
             return False, f"NE boundary mismatch at position {k}"
-        if get(f"U:{r}:{k}:S") != (1 if k in k_set else 0):
+        if edges[f"U:{r}:{k}:S"] != (1 if k in k_set else 0):
             return False, f"S boundary mismatch at position {k}"
     return True, ""
 

@@ -30,6 +30,7 @@ from .lie import (
     integer,
     integer_frame,
     rat,
+    record,
     wadd,
     wdot,
     weight,
@@ -91,6 +92,7 @@ def proj_point(weights, masses=None) -> ProjPoint:
 
 def moment_map(x: ProjPoint, shift: Weight | None = None) -> Weight:
     """Mass-weighted average of the support weights, minus an optional shift."""
+    record(ProjPoint, "a point", x)
     total = sum(c for _, c in x.support)
     out = tuple(rat(sum(Fraction(c) * Fraction(w[k]) for w, c in x.support) / total)
                 for k in range(x.rank))
@@ -100,6 +102,7 @@ def moment_map(x: ProjPoint, shift: Weight | None = None) -> Weight:
 
 
 def orbit_moment_polytope(x: ProjPoint) -> Polytope:
+    record(ProjPoint, "a point", x)
     return hull(x.weights)
 
 
@@ -232,6 +235,7 @@ def max_destabilizing(x: ProjPoint):
     The direction is the negative of the hull point nearest the origin; its
     normalized slope is -sqrt(slope_sq).
     """
+    record(ProjPoint, "a point", x)
     p, ns = nearest_point_of_hull(x.weights)
     if ns == 0:
         return None
@@ -239,13 +243,13 @@ def max_destabilizing(x: ProjPoint):
 
 
 def _origin_face(x: ProjPoint):
-    """The hull of x's weights and its facets through the origin, or None when
-    the origin lies outside the hull."""
+    """The hull of x's weights and the normals of its facets through the
+    origin, read off the offsets; None when the origin lies outside the hull."""
+    record(ProjPoint, "a point", x)
     h = hull(x.weights)
-    zero = (0,) * x.rank
-    if not h.contains(zero):
+    if any(off for _, off in h.equations) or any(off > 0 for _, off in h.facets):
         return None
-    return h, [h.facets[i] for i in h.active_facets(zero)]
+    return h, [n for n, off in h.facets if off == 0]
 
 
 def classify_stability(x: ProjPoint):
@@ -258,7 +262,7 @@ def classify_stability(x: ProjPoint):
         if h.dim == x.rank:
             return Stable()
         return Polystable(stabilizer_dim=x.rank - h.dim)
-    verts = tuple(sorted(v for v in h.vertices if all(wdot(n, v) == off for n, off in active)))
+    verts = tuple(v for v in h.vertices if all(sum(map(mul, n, v)) == 0 for n in active))
     return SemistableNotPolystable(jh_face=verts)
 
 
@@ -288,6 +292,7 @@ def hm_slope(x: ProjPoint, lam: Weight) -> HMSlope:
     ns = Fraction(wnorm_sq(lam))
     if ns == 0:
         raise GitkitError("zero_direction", "slope of the zero direction", {})
+    record(ProjPoint, "a point", x)
     num = max(Fraction(wdot(w, lam)) for w in x.weights)
     return HMSlope(num, ns)
 
@@ -296,6 +301,7 @@ def associated_graded(x: ProjPoint, lam: Weight) -> ProjPoint:
     """Limit point along the direction lam: support drops to the weights with
     the maximal pairing."""
     lam = weight(lam)
+    record(ProjPoint, "a point", x)
     vals = [wdot(w, lam) for w, _ in x.support]
     m = max(vals)
     kept = [(w, c) for (w, c), v in zip(x.support, vals) if v == m]
@@ -308,7 +314,7 @@ def jordan_holder_cone(x: ProjPoint) -> tuple:
     unstable points (origin outside the hull) have no such cone."""
     if (face := _origin_face(x)) is None:
         raise GitkitError("unstable", "unstable points have no polystable degeneration", {})
-    return tuple(sorted(wneg(n) for n, _ in face[1]))
+    return tuple(sorted(wneg(n) for n in face[1]))
 
 
 def critical_types(weights) -> set:
@@ -325,6 +331,7 @@ def critical_types(weights) -> set:
 
 def product(x: ProjPoint, y: ProjPoint) -> ProjPoint:
     """Segre product: weights add pairwise, masses multiply, duplicates pool."""
+    record(ProjPoint, "a point", x, y)
     if x.rank != y.rank:
         raise GitkitError("rank_mismatch", "product factors must share a rank",
                           {"left": x.rank, "right": y.rank})
@@ -338,6 +345,7 @@ def product(x: ProjPoint, y: ProjPoint) -> ProjPoint:
 
 def _float_data(x: ProjPoint):
     """Float weights and log-masses of a point, for the kernel below."""
+    record(ProjPoint, "a point", x)
     ws = [[_float(c, "weight") for c in w] for w, _ in x.support]
     cs = [_float(c, "mass") for _, c in x.support]
     if 0.0 in cs:
@@ -479,6 +487,7 @@ def minimize_kempf_ness(x: ProjPoint, xi0=None, tol: float = 1e-8,
     if (max_iter := integer(max_iter, "max_iter")) < 1:
         raise GitkitError("bad_input", "max_iter must be a positive integer",
                           {"max_iter": repr(max_iter)})
+    record(ProjPoint, "a point", x)
     r = x.rank
     xi = _float_direction(xi0 if xi0 is not None else (0.0,) * r, r)
     ws, logc = _float_data(x)

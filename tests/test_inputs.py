@@ -27,16 +27,22 @@ from gitkit import (
     LaurentPoly,
     associativity_check,
     blowup_chi,
+    classify_stability,
     count_puzzles,
     dominantize,
     enumerate_puzzles,
     hull,
+    kempf_ness,
     kostant_polytope,
+    lattice_points,
     lr_coefficient,
+    minimize_kempf_ness,
+    normal_fan,
     p1_chi,
     proj_point,
     rational_eq,
     rho,
+    symplectic_cut,
     vertex_sum,
     weyl_character,
     weyl_via_localization,
@@ -44,10 +50,15 @@ from gitkit import (
 from gitkit.characters import su2_invariant_dim
 from gitkit.cli import COMMANDS, main
 from gitkit.lie import GitkitError
+from gitkit.stability import product
 
 NAN, INF = float("nan"), float("inf")
 EVAL_POLY = LaurentPoly(2, {(1, 0): 1, (0, -1): 2})
 SET_REFUSED = ("bad_input", "a vector must be an ordered list, not a set", {"type": "set"})
+
+
+def _not_a(noun, cls, *types):
+    return "bad_input", f"{noun} must be a {cls}", {"types": list(types)}
 
 
 # ------------------------------------------------------------ regression
@@ -89,12 +100,25 @@ SET_REFUSED = ("bad_input", "a vector must be an ordered list, not a set", {"typ
     (lambda: weyl_character({2, 0}), *SET_REFUSED),
     (lambda: proj_point([(1, 0)], {1}), *SET_REFUSED),
     (lambda: lr_coefficient(4, 2, {1}, (1,), (2,)), *SET_REFUSED),
+    (lambda: lattice_points(5), *_not_a("a polytope", "Polytope", "int")),
+    (lambda: classify_stability(None), *_not_a("a point", "ProjPoint", "NoneType")),
+    (lambda: vertex_sum("x"), *_not_a("a polytope", "Polytope", "str")),
+    (lambda: kempf_ness(5, (0,)), *_not_a("a point", "ProjPoint", "int")),
+    (lambda: minimize_kempf_ness(3), *_not_a("a point", "ProjPoint", "int")),
+    (lambda: product(proj_point([(1, 0)]), 5),
+     *_not_a("a point", "ProjPoint", "ProjPoint", "int")),
+    (lambda: normal_fan([]), *_not_a("a polytope", "Polytope", "list")),
+    (lambda: symplectic_cut(None, (1,), 0), *_not_a("a polytope", "Polytope", "NoneType")),
+    (lambda: LaurentPoly(-1), "bad_input", "rank must be non-negative", {"rank": -1}),
 ], ids=["puzzle-subset-text", "puzzle-size-float", "puzzle-size-bool", "p1-text",
         "p1-float", "blowup-float", "rho-float", "assoc-float", "rational-eq-int",
         "lr-float-part", "enumerate-negative-limit", "su2-bool-scale", "laurent-bool",
         "laurent-evaluate-text", "laurent-evaluate-text-entry", "laurent-evaluate-nan",
         "laurent-evaluate-int", "laurent-evaluate-bool", "kostant-set", "dominantize-set",
-        "weyl-character-set", "proj-point-set-masses", "lr-set-partition"])
+        "weyl-character-set", "proj-point-set-masses", "lr-set-partition",
+        "lattice-points-int", "classify-none", "vertex-sum-text", "kempf-ness-int",
+        "minimize-kempf-ness-int", "product-int", "normal-fan-list", "cut-none",
+        "laurent-negative-rank"])
 def test_inputs_that_leaked_or_misread_are_refused(call, code, message, context):
     with pytest.raises(GitkitError) as exc:
         call()
@@ -114,14 +138,15 @@ ints = st.one_of(small, junk)
 rats = st.one_of(st.integers(-2, 3), st.sampled_from(["1/2", "-3/2", Fraction(2, 3)]), junk)
 
 
+# the record arguments are built records or junk
 TRIANGLE = hull([(0, 0), (1, 0), (0, 1)])
-POLYTOPES = st.sampled_from([
+POLYTOPES = st.one_of(st.sampled_from([
     TRIANGLE, hull([(0, 0), (2, 0), (2, 1), (0, 1)]), hull([(0, 0), (1, 1)]),
     hull([(Fraction(1, 2), 0), (1, 0), (1, 1)]), hull([(3,)]),
-    hull([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])])
-POINTS = st.sampled_from([
+    hull([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])]), junk)
+POINTS = st.one_of(st.sampled_from([
     proj_point([(1, 0), (0, 1), (-1, -1)]), proj_point([(1, 0)]),
-    proj_point([(1, 0), (-1, 0)], ["1/2", 2]), proj_point([(2,), (-1,)])])
+    proj_point([(1, 0), (-1, 0)], ["1/2", 2]), proj_point([(2,), (-1,)])]), junk)
 SERIES = st.one_of(st.sampled_from([p1_chi(1), blowup_chi(1, 0)[0], vertex_sum(TRIANGLE),
                                     weyl_via_localization((1, 0))[0], ConeSeries(())]), junk)
 FILLING = enumerate_puzzles(4, (2, 4), (2, 4), (2, 3))[0]

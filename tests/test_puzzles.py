@@ -5,6 +5,7 @@ cross-checked here against multiplicities read off tensor_decompose, which
 shares no code with the filling enumeration.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -80,8 +81,18 @@ def test_check_filling_rejects_missing_edge():
     fillings = enumerate_puzzles(4, (2, 4), (2, 4), (2, 3))
     edges = dict(fillings[0])
     edges.pop(next(iter(edges)))
-    ok, _ = check_filling(4, (2, 4), (2, 4), (2, 3), edges)
+    ok, reason = check_filling(4, (2, 4), (2, 4), (2, 3), edges)
     assert not ok
+    assert reason == "missing edge U:1:1:NW"
+    # a defaultdict's default is not read as the missing edge, nor stored
+    lenient = collections.defaultdict(int, edges)
+    assert check_filling(4, (2, 4), (2, 4), (2, 3), lenient) == (False, reason)
+    assert lenient == edges
+    # a check that fails before the missing edge is read is the one reported
+    edges = {**fillings[0], "U:1:1:NW": 2, "U:1:1:NE": 2, "U:1:1:S": 2}
+    del edges["U:4:4:S"]
+    assert check_filling(4, (2, 4), (2, 4), (2, 3), edges) == (
+        False, "illegal up piece (2, 2, 2) at (1,1)")
 
 
 # Edits of the legal filling of (4, {2,4}, {2,4}, {2,3}), each reported by

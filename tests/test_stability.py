@@ -905,3 +905,14 @@ def test_flow_and_verdicts_match_earlier_code(case):
         for start in (None, xi):
             assert (_outcome(minimize_kempf_ness, x, start, tol=1e-6, max_iter=300)
                     == _outcome(_ref_minimize_kempf_ness, x, start, tol=1e-6, max_iter=300))
+
+
+# the origin off the affine hull, and lower-dimensional hulls through it
+@pytest.mark.parametrize("ws", [
+    [(1, 1), (1, -1)], [(1, 0), (0, 1)], [(2,)], [(0, 0)], [(1, 0), (-1, 0)],
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+])
+def test_verdicts_match_earlier_code_on_lower_dimensional_hulls(ws):
+    x = proj_point(ws)
+    assert repr(classify_stability(x)) == repr(_ref_classify_stability(x))
+    assert _outcome(jordan_holder_cone, x) == _outcome(_ref_jordan_holder_cone, x)
