@@ -108,10 +108,12 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(w, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly(len(w), {tuple(w): coeff})
+        w = _exponent(ordered(w), "Laurent exponents must be integers")
+        return LaurentPoly(len(w), {w: coeff})
 
     @staticmethod
     def one(rank: int) -> "LaurentPoly":
+        rank = integer(rank, "rank")
         return LaurentPoly(rank, {(0,) * rank: 1})
 
     def coeff(self, w) -> int:

@@ -12,10 +12,11 @@ doubling [[X, -Y], [Y, X]], keeping the check independent of library
 eigensolvers.  The iteration has two drivers that do the same IEEE
 operations in the same order.  One matrix (`jacobi_eigenvalues`) goes
 through a scalar rotation loop on Python floats.  A stack of matrices
-(`_jacobi_batch`, used by the validator) goes through a lockstep loop: each
-pivot's rotation is one set of elementwise numpy operations over the whole
-stack.  Both give each matrix the bits of a plain per-matrix rotation loop
-on a numpy array.
+(`_jacobi_batch`, used by the validator) goes through a lockstep loop, where
+each pivot's rotation is one set of elementwise numpy operations over the
+whole stack, while more than LOCKSTEP_MIN_LANES of its matrices are still
+unconverged; the rest finish in the scalar loop.  Both give each matrix the
+bits of a plain per-matrix rotation loop on a numpy array.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def check_triple(a, b, c) -> CheckResult:
 # both Jacobi drivers stop once a doubling's off-diagonal norm is at most
 # JACOBI_TOL times its scale, and fail after JACOBI_SWEEPS sweeps
 JACOBI_TOL, JACOBI_SWEEPS = 1e-12, 100
+# _jacobi_batch rotates in lockstep only while more lanes than this are live
+LOCKSTEP_MIN_LANES = 10
 
 
 def jacobi_eigenvalues(h) -> list[float]:
@@ -127,11 +130,12 @@ def jacobi_eigenvalues(h) -> list[float]:
 
     The complex matrix X + iY is embedded as the real symmetric doubling
     [[X, -Y], [Y, X]] whose spectrum repeats each eigenvalue twice.  One
-    matrix goes through a scalar rotation loop on Python floats; a stack goes
-    through the lockstep numpy loop `_jacobi_batch`.  Both follow the
-    per-matrix rotation loop operation for operation (pivot order, skip test,
-    rotation formulas, columns before rows) and stop at the same sweep, so a
-    matrix gets the same bits on either path.
+    matrix goes through the scalar rotation loop `_jacobi_loop` on Python
+    floats; a stack goes through `_jacobi_batch`, in lockstep while more than
+    LOCKSTEP_MIN_LANES matrices are live, then through the scalar loop.  Both
+    follow the per-matrix rotation loop operation for operation (pivot order,
+    skip test, rotation formulas, columns before rows) and stop at the same
+    sweep, so a matrix gets the same bits on either path.
     """
     try:
         a = np.asarray(h)
@@ -149,10 +153,15 @@ def jacobi_eigenvalues(h) -> list[float]:
     if not np.allclose(a, a.conj().T, atol=1e-10):
         raise GitkitError("not_hermitian", "matrix is not Hermitian", {})
     doubled = _doubling(a[None])
-    limit = JACOBI_TOL * _scales(doubled)[0]
-    s = doubled[0].tolist()
+    return _jacobi_loop(doubled[0].tolist(), JACOBI_TOL * _scales(doubled)[0], JACOBI_SWEEPS)
+
+
+def _jacobi_loop(s: list, limit: float, sweeps: int) -> list[float]:
+    """The scalar rotation loop on one doubling s (lists of Python floats, rotated
+    in place): its spectrum once the off-diagonal norm is at most limit, checked
+    before each of at most `sweeps` sweeps."""
     n = len(s)
-    for _sweep in range(JACOBI_SWEEPS):
+    for _sweep in range(sweeps):
         if _off_norms(np.array(s).reshape(1, n, n))[0] <= limit:
             return sorted([s[i][i] for i in range(n)], reverse=True)[0::2]
         for p in range(n - 1):
@@ -225,21 +234,26 @@ def _jacobi_batch(hs) -> list:
     off-diagonal norm decide when it leaves the batch, a lane whose pivot is
     negligible keeps its values by selection (an identity rotation could
     turn -0.0 into +0.0), and no operation sums across entries in a new order.
-    It stops by the same rule as jacobi_eigenvalues.
+    Once at most LOCKSTEP_MIN_LANES are live after a sweep's check, each of
+    them finishes alone in the scalar loop with the sweeps it has left, so it
+    stops by the same rule as jacobi_eigenvalues.
     """
     s_mat = _doubling(hs)
     n = s_mat.shape[-1]
     scale = _scales(s_mat)
     live = np.arange(len(s_mat))
     out = [None] * len(s_mat)
-    for _sweep in range(JACOBI_SWEEPS):
+    for sweep in range(JACOBI_SWEEPS):
         done = _off_norms(s_mat) <= JACOBI_TOL * scale
         for k in np.flatnonzero(done):
             out[live[k]] = sorted(np.diag(s_mat[k]).tolist(), reverse=True)[0::2]
         if done.any():
             keep = ~done
             s_mat, scale, live = s_mat[keep], scale[keep], live[keep]
-        if not len(live):
+        if len(live) <= LOCKSTEP_MIN_LANES:
+            for k, lane in enumerate(live):
+                out[lane] = _jacobi_loop(s_mat[k].tolist(), JACOBI_TOL * scale[k],
+                                         JACOBI_SWEEPS - sweep)
             return out
         lanes = len(live)
         # masked lanes divide by a zero pivot; their results are discarded
@@ -281,8 +295,9 @@ class SampleReport:
 def sample_hermitian_validate(r: int, trials: int = 1000, seed: int = 0,
                               tol: float = 1e-8) -> SampleReport:
     """Draw Gaussian Hermitian pairs, diagonalize A, B, A + B with the Jacobi
-    routine in one lockstep batch, and check every inequality of the system
-    within tolerance."""
+    routine as one stack (`_jacobi_batch`: in lockstep while more than
+    LOCKSTEP_MIN_LANES matrices are unconverged, then one at a time), and
+    check every inequality of the system within tolerance."""
     r, trials, seed = integer(r, "r"), integer(trials, "trials"), integer(seed, "seed")
     for name, value in (("trials", trials), ("seed", seed)):
         if value < 0:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -322,14 +323,87 @@ def _hermitian(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_hermitian())
 def test_scalar_and_batch_jacobi_match_loop_reference_bits(h):
-    # one matrix goes through the scalar loop, a stack through the lockstep
-    # batch; both must give the per-matrix loop's bits.  Near 1e150,
+    # one matrix goes through the scalar loop, and so does a one-lane stack;
+    # a stack of more than LOCKSTEP_MIN_LANES lanes goes through the lockstep
+    # loop first.  All must give the per-matrix loop's bits.  Near 1e150,
     # tau * tau overflows to inf (harmless: t becomes 0); only the reference's
     # numpy scalars are silenced here, so a warning from gitkit still shows
     with np.errstate(over="ignore"):
         want = repr(_loop_jacobi(h))
     assert repr(jacobi_eigenvalues(h)) == want
     assert repr(_jacobi_batch(h[None])[0]) == want
+    if len(h):
+        # Gaussian lanes of the same size, from a seed read off the drawn matrix
+        rng = np.random.default_rng(zlib.crc32(h.tobytes()))
+        shape = (2 * horn.LOCKSTEP_MIN_LANES,) + h.shape
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = np.concatenate((h[None], (m + m.conj().transpose(0, 2, 1)) / 2))
+        assert repr(_jacobi_batch(stack)[0]) == want
+
+
+def _lanes(count, r=4):
+    """count Hermitian r x r matrices, none diagonal, that converge at
+    different sweeps: diagonal ones with 1e-9 or 1e-4 off the diagonal, and
+    Gaussian complex and rounded-integer ones."""
+    rng = np.random.default_rng(30 + count)
+    out = []
+    for k in range(count):
+        g = rng.standard_normal((r, r))
+        m = g + 1j * rng.standard_normal((r, r))
+        out.append([np.diag(g[0]) + 1e-9 * (g + g.T),
+                    np.diag(g[0]) + 1e-4 * (g + g.T),
+                    (m + m.conj().T) / 2,
+                    np.round(g @ g.T)][k % 4].astype(complex))
+    return out
+
+
+def _sweeps_to_converge(h, monkeypatch):
+    """The least JACOBI_SWEEPS with which jacobi_eigenvalues(h) answers."""
+    for sweeps in range(1, 100):
+        monkeypatch.setattr(horn, "JACOBI_SWEEPS", sweeps)
+        try:
+            jacobi_eigenvalues(h)
+            return sweeps
+        except GitkitError as exc:
+            assert exc.code == "jacobi_no_convergence"
+    raise AssertionError("no budget below 100 sweeps converges")
+
+
+@pytest.mark.parametrize("count", [horn.LOCKSTEP_MIN_LANES - 1, horn.LOCKSTEP_MIN_LANES,
+                                   horn.LOCKSTEP_MIN_LANES + 1, 24])
+def test_handoff_to_the_scalar_loop_keeps_bits_and_sweep_budget(count, monkeypatch):
+    mats = _lanes(count)
+    stack = np.stack(mats)
+    want = repr([jacobi_eigenvalues(h) for h in mats])
+    handoff = []        # the sweep budget of each lane handed to the scalar loop
+    real_loop = horn._jacobi_loop
+
+    def loop(s, limit, sweeps):
+        handoff.append(sweeps)
+        return real_loop(s, limit, sweeps)
+
+    monkeypatch.setattr(horn, "_jacobi_loop", loop)
+    assert repr(_jacobi_batch(stack)) == want
+    # no lane converges before its first sweep, so a stack of at most
+    # LOCKSTEP_MIN_LANES lanes never rotates in lockstep, and a larger one does
+    if count <= horn.LOCKSTEP_MIN_LANES:
+        assert handoff == [horn.JACOBI_SWEEPS] * count
+    else:
+        assert handoff and max(handoff) < horn.JACOBI_SWEEPS
+
+    # the slowest lane's sweep count is enough, one fewer is not, as alone
+    counts = [_sweeps_to_converge(h, monkeypatch) for h in mats]
+    slowest = mats[counts.index(max(counts))]
+    monkeypatch.setattr(horn, "JACOBI_SWEEPS", max(counts))
+    assert repr(_jacobi_batch(stack)) == want
+    monkeypatch.setattr(horn, "JACOBI_SWEEPS", max(counts) - 1)
+    with pytest.raises(GitkitError) as alone:
+        jacobi_eigenvalues(slowest)
+    with pytest.raises(GitkitError) as batch:
+        _jacobi_batch(stack)
+    assert (batch.value.code, batch.value.message, batch.value.context) == \
+        ("jacobi_no_convergence", alone.value.message, {"n": 8})
+    assert alone.value.context == {"n": 8}
 
 
 def test_jacobi_empty_matrix():
@@ -419,9 +493,10 @@ def test_jacobi_sweep_limit(monkeypatch):
 
 def test_batch_sweep_limit_reaches_the_validator(monkeypatch):
     monkeypatch.setattr(horn, "JACOBI_SWEEPS", 1)
-    with pytest.raises(GitkitError) as exc:
-        sample_hermitian_validate(3, trials=2, seed=0)
-    assert exc.value.code == "jacobi_no_convergence"
+    for trials in (2, 4):   # 6 lanes go to the scalar loop, 12 rotate in lockstep
+        with pytest.raises(GitkitError) as exc:
+            sample_hermitian_validate(3, trials=trials, seed=0)
+        assert exc.value.code == "jacobi_no_convergence"
 
 
 def test_validator_counts_wrong_spectra(monkeypatch):

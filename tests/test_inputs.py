@@ -110,6 +110,12 @@ def _not_a(noun, cls, *types):
     (lambda: normal_fan([]), *_not_a("a polytope", "Polytope", "list")),
     (lambda: symplectic_cut(None, (1,), 0), *_not_a("a polytope", "Polytope", "NoneType")),
     (lambda: LaurentPoly(-1), "bad_input", "rank must be non-negative", {"rank": -1}),
+    (lambda: LaurentPoly.one("x"), "bad_input", "rank must be an integer", {"rank": "'x'"}),
+    (lambda: LaurentPoly.one(2.5), "bad_input", "rank must be an integer", {"rank": "2.5"}),
+    (lambda: LaurentPoly.monomial(5), "bad_input", "expected a list of values", {"type": "int"}),
+    (lambda: LaurentPoly.monomial({1, 2}), *SET_REFUSED),
+    (lambda: LaurentPoly.monomial(([1], 2)),
+     "bad_rational", "cannot parse a rational from [1]", {}),
 ], ids=["puzzle-subset-text", "puzzle-size-float", "puzzle-size-bool", "p1-text",
         "p1-float", "blowup-float", "rho-float", "assoc-float", "rational-eq-int",
         "lr-float-part", "enumerate-negative-limit", "su2-bool-scale", "laurent-bool",
@@ -118,7 +124,8 @@ def _not_a(noun, cls, *types):
         "weyl-character-set", "proj-point-set-masses", "lr-set-partition",
         "lattice-points-int", "classify-none", "vertex-sum-text", "kempf-ness-int",
         "minimize-kempf-ness-int", "product-int", "normal-fan-list", "cut-none",
-        "laurent-negative-rank"])
+        "laurent-negative-rank", "laurent-one-text", "laurent-one-float",
+        "laurent-monomial-int", "laurent-monomial-set", "laurent-monomial-list-entry"])
 def test_inputs_that_leaked_or_misread_are_refused(call, code, message, context):
     with pytest.raises(GitkitError) as exc:
         call()
