@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import GitkitError, entries, fmt_rat, integer, is_int, rat, weight
-from .puzzles import count_puzzles_all_k
+from .puzzles import MAX_SIZE, count_puzzles_all_k
 
 
 def spectrum(values) -> tuple:
@@ -63,18 +63,20 @@ def generate_horn_system(r: int, mode: str = "all-positive") -> HornSystem:
     """All inequality triples for r x r spectra, from scratch via puzzle counts.
 
     Subset size s runs over 1..r-1 (s = 0 and s = r carry no information
-    beyond the trace identity).  'all-positive' keeps every triple with a
-    positive count; 'irredundant' keeps those with count exactly 1.
+    beyond the trace identity, so the r = 1 system is empty).  'all-positive'
+    keeps every triple with a positive count; 'irredundant' keeps those with
+    count exactly 1.  r runs over the puzzle sizes, 1 to puzzles.MAX_SIZE = 8.
     """
-    if not is_int(r) or r < 2 or r > 6:
-        raise GitkitError("bad_rank", "inequality systems supported for 2 <= r <= 6", {"r": r})
+    if not is_int(r) or not 1 <= r <= MAX_SIZE:
+        raise GitkitError("bad_rank", f"inequality systems supported for 1 <= r <= {MAX_SIZE}",
+                          {"r": r})
     if mode not in ("all-positive", "irredundant"):
         raise GitkitError("bad_mode", "mode must be 'all-positive' or 'irredundant'",
                           {"mode": mode})
     return _horn_system(rat(r), mode)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2 * MAX_SIZE)     # every (rank, mode) pair
 def _horn_system(r: int, mode: str) -> HornSystem:
     triples = []
     for s in range(1, r):
@@ -98,19 +100,16 @@ class CheckResult:
 def check_triple(a, b, c) -> CheckResult:
     """Exact membership test: can spectra a and b of Hermitian matrices add up
     to a matrix with spectrum c?  Reports the first violated constraint.
-    Spectra of rank 1 to 6 are answered; any other rank is refused."""
+    Ranks 1 to 8 are answered; generate_horn_system refuses any other rank."""
     a, b, c = spectrum(a), spectrum(b), spectrum(c)
     r = len(a)
     if len(b) != r or len(c) != r:
         raise GitkitError("rank_mismatch", "spectra must share a length",
                           {"lengths": [len(a), len(b), len(c)]})
-    if not 1 <= r <= 6:
-        raise GitkitError("bad_rank", "spectra supported for 1 <= r <= 6", {"r": r})
+    system = generate_horn_system(r, "all-positive")
     if sum(a) + sum(b) != sum(c):
         return CheckResult(False, ("trace",))
-    if r == 1:      # the trace identity is the whole system
-        return CheckResult(True, None)
-    for i_set, j_set, k_set, _n in generate_horn_system(r, "all-positive").triples:
+    for i_set, j_set, k_set, _n in system.triples:
         lhs = sum(a[i - 1] for i in i_set) + sum(b[j - 1] for j in j_set)
         rhs = sum(c[k - 1] for k in k_set)
         if lhs > rhs:

@@ -24,8 +24,8 @@ from operator import add, mul
 
 from .characters import (
     LaurentPoly,
+    _check_dominant_integral,
     _exponent,
-    _integral,
     _monomial_at,
     positive_roots,
     weyl_alternant,
@@ -314,7 +314,7 @@ def vertex_sum(p: Polytope) -> ConeSeries:
             raise GitkitError("not_lattice", "vertex sum needs integer vertices",
                               {"vertex": [fmt_rat(x) for x in v]})
     d = p.dim
-    if r > 4:
+    if r > 4:   # bounds work: below full dim, _frame_index takes all C(r, d) minors a vertex
         raise GitkitError("rank_too_large", "vertex sums supported up to rank 4", {"rank": r})
     if d == 0:
         v = p.vertices[0]
@@ -435,15 +435,10 @@ def weyl_via_localization(lam) -> tuple[ConeSeries, LaurentPoly]:
     prod over positive roots of (1 - t^{-alpha}) and one decreasing direction.
 
     Returns the series and its box expansion over the weight hull, which the
-    direct character construction must reproduce exactly."""
-    lam = _integral(lam, "highest weight must have integer entries")
+    direct character construction must reproduce exactly.  lam is checked as
+    weyl_character checks it; its rank cap, 6, bounds the r! alternant terms."""
+    lam = _check_dominant_integral(lam)
     r = len(lam)
-    if r > 4:
-        raise GitkitError("rank_too_large", "localization characters capped at rank 4",
-                          {"rank": r})
-    if any(lam[i] < lam[i + 1] for i in range(r - 1)):
-        raise GitkitError("not_dominant", "weight entries must be weakly decreasing",
-                          {"weight": list(lam)})
     dens = tuple(sorted(tuple(-x for x in a) for a in positive_roots(r)))
     shape = Term(LaurentPoly.one(r), dens, tuple(r - i for i in range(r)))  # checked once
     series = ConeSeries(tuple(Term._of(LaurentPoly._of(r, {w: sign}), shape.den, shape.dir)

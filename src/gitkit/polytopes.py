@@ -89,10 +89,10 @@ def _kernel(rows, n: int) -> list[list[int]]:
 
 
 def _frame_index(rows) -> int:
-    """gcd of the maximal minors of integer rows (|det| for a square frame):
-    1 exactly when the rows are a lattice basis of their span."""
+    """gcd of the maximal minors of integer rows (|det| for a square frame, 1
+    for no rows): 1 exactly when the rows are a lattice basis of their span."""
     g = 0
-    for cols in itertools.combinations(range(len(rows[0])), len(rows)):
+    for cols in itertools.combinations(range(len(rows[0]) if rows else 0), len(rows)):
         g = gcd(g, _bareiss([[row[c] for c in cols] for row in rows])[2])
     return g
 

@@ -33,6 +33,7 @@ _UP_BY_NW = {
     2: ((2, 1, 0),),
 }
 _DOWN_SE = {(n, sw): se for n, sw, se in DOWN_PIECES}
+MAX_SIZE = 8    # the largest puzzle, and so the largest rank of a Horn system
 
 
 def _validate_subset(r: int, s, name: str) -> tuple[int, ...]:
@@ -48,8 +49,8 @@ def _validate_subset(r: int, s, name: str) -> tuple[int, ...]:
 def _checked(r, *sets) -> tuple[int, list]:
     """The size r and the boundary subsets I, J (and K) of a size-r puzzle, validated."""
     r = integer(r, "r")
-    if r < 1 or r > 8:
-        raise GitkitError("bad_rank", "puzzle size must be between 1 and 8", {"r": r})
+    if r < 1 or r > MAX_SIZE:
+        raise GitkitError("bad_rank", f"puzzle size must be between 1 and {MAX_SIZE}", {"r": r})
     return r, [_validate_subset(r, t, name) for t, name in zip(sets, "IJK")]
 
 

@@ -150,13 +150,22 @@ def test_horn_check_at_rank_one(capsys):
     assert (code, out) == (0, '{"feasible": false, "violated": "trace"}\n')
 
 
-def test_horn_check_above_rank_six_exits_one(capsys):
-    code, out, err = run(["horn", "check", "--a", "1,1,1,1,1,1,1", "--b", "1,1,1,1,1,1,1",
-                          "--c", "2,2,2,2,2,2,2"], capsys)
+def test_horn_check_above_rank_eight_exits_one(capsys):
+    ones = ",".join(["1"] * 9)
+    code, out, err = run(["horn", "check", "--a", ones, "--b", ones,
+                          "--c", ",".join(["2"] * 9)], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"code": "bad_rank",
-                               "message": "spectra supported for 1 <= r <= 6",
-                               "context": {"r": 7}}
+                               "message": "inequality systems supported for 1 <= r <= 8",
+                               "context": {"r": 9}}
+
+
+def test_delzant_of_a_rank_zero_polytope(tmp_path, capsys):
+    # the empty edge frame used to end in an IndexError traceback
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": [[]]}))
+    code, out, err = run(["polytope", "delzant", "--in", str(path)], capsys)
+    assert (code, out, err) == (0, '{"delzant": true}\n', "")
 
 
 def test_puzzle_count_and_listing(capsys):

@@ -4,9 +4,12 @@ numpy.linalg.eigvalsh is the frozen oracle for the hand-rolled Jacobi sweep;
 the two implementations share no code beyond matrix storage.
 """
 
+import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 from fractions import Fraction
@@ -58,9 +61,9 @@ def test_system_modes_and_bounds():
     assert set(irr.triples) <= set(allpos.triples)
     assert all(n == 1 for *_ignore, n in irr.triples)
     with pytest.raises(GitkitError):
-        generate_horn_system(1)
+        generate_horn_system(0)
     with pytest.raises(GitkitError):
-        generate_horn_system(7)
+        generate_horn_system(9)
     with pytest.raises(GitkitError):
         generate_horn_system(3, "fast")
 
@@ -102,15 +105,61 @@ def test_check_triple_at_rank_one_is_the_trace_identity(c):
 
 
 @pytest.mark.parametrize("a, b, c", [
-    ((1,) * 7, (1,) * 7, (3,) * 7),     # the trace fails: refused all the same
-    ((1,) * 7, (1,) * 7, (2,) * 7),     # the trace holds
+    ((1,) * 9, (1,) * 9, (3,) * 9),     # the trace fails: refused all the same
+    ((1,) * 9, (1,) * 9, (2,) * 9),     # the trace holds
     ((), (), ()),
 ])
-def test_check_triple_refuses_ranks_outside_one_to_six(a, b, c):
+def test_check_triple_refuses_ranks_outside_one_to_eight(a, b, c):
+    start = time.perf_counter()
     with pytest.raises(GitkitError) as exc:
         check_triple(a, b, c)
+    assert time.perf_counter() - start < 1.0
     assert (exc.value.code, exc.value.message, exc.value.context) == (
-        "bad_rank", "spectra supported for 1 <= r <= 6", {"r": len(a)})
+        "bad_rank", "inequality systems supported for 1 <= r <= 8", {"r": len(a)})
+
+
+def test_rank_one_system_is_empty():
+    # s runs over 1..r-1, so the trace identity is the whole rank-1 system
+    for mode in ("all-positive", "irredundant"):
+        assert generate_horn_system(1, mode).triples == ()
+    assert generate_horn_system(1).to_json()["triples"] == []
+    assert sample_hermitian_validate(1, trials=5, seed=2) == SampleReport(1, 5, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_top_puzzle_ranks_are_answered(r):
+    a = tuple(range(2 * r, 0, -2))
+    b = tuple(range(r, 0, -1))
+    # diagonal matrices commute: a + b and a + reversed b, sorted, are sums
+    assert check_triple(a, b, tuple(x + y for x, y in zip(a, b))).feasible
+    assert check_triple(a, b, tuple(sorted(map(sum, zip(a, b[::-1])), reverse=True))).feasible
+    # moving one unit of trace from c_r to c_1 breaks c_1 <= a_1 + b_1
+    c = tuple(x + y for x, y in zip(a, b))
+    pushed = check_triple(a, b, (c[0] + 1,) + c[1:-1] + (c[-1] - 1,))
+    assert not pushed.feasible and pushed.violated != ("trace",)
+    rep = sample_hermitian_validate(r, trials=8, seed=5)
+    assert rep.violations == 0 and rep.max_slack_error < 1e-8
+
+
+@pytest.mark.parametrize("r, pairs", [(4, 60), (5, 40), (6, 15)])
+def test_saturation_scan_at_ranks_four_to_six(r, pairs):
+    # Knutson-Tao saturation, as c04 at rank 3: an integral triple is feasible
+    # exactly when its tensor multiplicity is positive.  a and b have entries
+    # 0..2, so every c with a positive multiplicity has entries 0..4
+    doms = [t for t in itertools.product(range(4, -1, -1), repeat=r)
+            if all(t[i] >= t[i + 1] for i in range(r - 1))]
+    small = [t for t in doms if t[0] <= 2]
+    rng = random.Random(r)
+    feasible = 0
+    for _ in range(pairs):
+        a, b = rng.choice(small), rng.choice(small)
+        decomp = tensor_decompose(a, b)
+        for c in doms:
+            if sum(c) == sum(a) + sum(b):
+                res = check_triple(a, b, c)
+                assert res.feasible == (decomp.get(c, 0) > 0), (a, b, c)
+                feasible += res.feasible
+    assert feasible >= 40, feasible
 
 
 def test_check_triple_boundary_is_feasible():
@@ -404,6 +453,13 @@ def test_handoff_to_the_scalar_loop_keeps_bits_and_sweep_budget(count, monkeypat
     assert (batch.value.code, batch.value.message, batch.value.context) == \
         ("jacobi_no_convergence", alone.value.message, {"n": 8})
     assert alone.value.context == {"n": 8}
+
+
+def test_lockstep_skips_a_pivot_that_no_lane_turns():
+    # in a real lane the doubling's pivots between its two blocks stay 0, so
+    # a stack of real lanes skips those pivots whole in the lockstep loop
+    mats = [h.real.astype(complex) for h in _lanes(2 * horn.LOCKSTEP_MIN_LANES)]
+    assert repr(_jacobi_batch(np.stack(mats))) == repr([jacobi_eigenvalues(h) for h in mats])
 
 
 def test_jacobi_empty_matrix():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from operator import add, mul
 
@@ -382,9 +383,21 @@ def test_weyl_series_input_checks():
     with pytest.raises(GitkitError) as exc:
         weyl_via_localization((0, 1))
     assert exc.value.code == "not_dominant"
+    start = time.perf_counter()
     with pytest.raises(GitkitError) as exc:
-        weyl_via_localization((1, 0, 0, 0, 0))
-    assert exc.value.code == "rank_too_large"
+        weyl_via_localization((1, 0, 0, 0, 0, 0, 0))
+    assert time.perf_counter() - start < 1.0
+    assert (exc.value.code, exc.value.message, exc.value.context) == (
+        "rank_too_large", "character expansion supported up to rank 6", {"rank": 7})
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 0, 0, 0), (2, 1, 0, 0, 0), (3, 2, 1, 0, -1),
+                                 (1, 1, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0)])
+def test_weyl_series_at_ranks_five_and_six(lam):
+    # the character's rank cap, 6, is the series' cap too
+    series, expansion = weyl_via_localization(lam)
+    assert len(series.terms) == math.factorial(len(lam))
+    assert expansion == weyl_character(lam)
 
 
 @pytest.mark.parametrize("lam, shown", [
@@ -781,9 +794,18 @@ def _outcome(f, *args):
 
 def test_weyl_series_refuses_like_reference():
     # the outcomes on c10 are compared in test_weyl_series_terms_match_fraction_direction_on_c10
-    for lam in ((0, 1), (1, 0, 0, 0, 0), (), (3, 2, 1, 0, -1), [2, 1]):
+    for lam in ((), [2, 1]):
         assert _outcome(weyl_via_localization, lam) == _outcome(
             _ref_weyl_via_localization, lam), lam
+    # the weight is now checked as weyl_character checks it: a non-dominant
+    # weight is shown as strings, and ranks 5 and 6 are answered
+    for lam in ((0, 1), (0, 1, 0, 0, 0, 0, 0)):
+        assert _outcome(weyl_via_localization, lam) == _outcome(weyl_character, lam), lam
+    assert _outcome(weyl_via_localization, (0, 1)) == (
+        "not_dominant", "weight entries must be weakly decreasing", {"weight": ["0", "1"]})
+    for lam in ((1, 0, 0, 0, 0), (3, 2, 1, 0, -1)):
+        assert _outcome(_ref_weyl_via_localization, lam)[0] == "rank_too_large"
+        assert weyl_via_localization(lam)[1] == weyl_character(lam), lam
 
 
 def test_vertex_sum_matches_reference_on_c10_orbits():

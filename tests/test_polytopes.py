@@ -28,6 +28,7 @@ from gitkit.localization import vertex_sum
 from gitkit.polytopes import (
     BGReport,
     CutResult,
+    DelzantReport,
     Polytope,
     _bareiss,
     _frame_index,
@@ -238,6 +239,12 @@ def test_delzant_rejects_rational_vertex():
     assert not rep.ok
     assert rep.reason == "non-integer vertex"
     assert rep.failing_vertex == (0, Fraction(1, 2))
+
+
+def test_delzant_answers_the_rank_zero_polytope():
+    # no edges: the empty frame has index 1, the empty determinant
+    assert _frame_index([]) == 1
+    assert is_delzant(hull([()])) == DelzantReport(True, None, "")
 
 
 def test_delzant_needs_full_dim():
